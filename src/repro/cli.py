@@ -18,7 +18,7 @@ Subcommands::
 Experiment subcommands accept ``--jobs`` (default: ``$REPRO_JOBS`` or the
 CPU count; ``auto`` = CPU count minus one) and print a one-line harness
 summary — cases scheduled, cache hits, fused groups, wall time and
-simulated uops/sec — after their output.  They also accept the
+simulated kinstr/s — after their output.  They also accept the
 supervision flags ``--case-timeout`` (per-case deadline in seconds;
 default scales with each case's instruction count), ``--keep-going``
 (finish the batch despite failed cases and report them instead of

@@ -12,6 +12,8 @@ module gives those cases a durable identity:
   warmup fraction, and the accounting schema version), so the key is a
   content address: equal inputs map to the same key in every process and
   every session.
+* :class:`Job` — one timing run and every result it publishes: the unit
+  the harness executes, checkpoints, validates and retries.
 * :class:`DiskCache` — a pickle-per-entry store under
   ``results/.cache/`` (override with ``REPRO_CACHE_DIR``), sharded by the
   first two hex digits of the key.  Entries are written atomically and a
@@ -153,10 +155,7 @@ class CaseSpec:
 
     def timing_key(self) -> str:
         """SHA-256 content address of :meth:`timing_fingerprint`."""
-        text = json.dumps(
-            self.timing_fingerprint(), sort_keys=True, separators=(",", ":")
-        )
-        return hashlib.sha256(text.encode("utf-8")).hexdigest()
+        return _digest(self.timing_fingerprint())
 
     def fingerprint(self) -> dict:
         """Canonical JSON-able identity of this case (hashed into the key).
@@ -177,10 +176,7 @@ class CaseSpec:
 
     def key(self) -> str:
         """Content address: SHA-256 of the canonical fingerprint."""
-        text = json.dumps(
-            self.fingerprint(), sort_keys=True, separators=(",", ":")
-        )
-        return hashlib.sha256(text.encode("utf-8")).hexdigest()
+        return _digest(self.fingerprint())
 
     def label(self) -> str:
         """Short human-readable tag for telemetry and logs."""
@@ -195,97 +191,115 @@ class CaseSpec:
         return f"{self.workload}@{machine}{ideal}{acct}{socket}"
 
     def member_fingerprint(self, core: int) -> dict:
-        """Identity of one core's slice of a multi-core case."""
+        """Identity of core ``core``'s result (stored with its entry).
+
+        A 1-core case is the historical single-core case: its only member
+        is the case itself, sharing its fingerprint, key and label.
+        """
         fp = self.fingerprint()
-        fp["multicore_member"] = core
+        if self.cores > 1:
+            fp["multicore_member"] = core
         return fp
 
     def member_key(self, core: int) -> str:
-        """Cache key for core ``core``'s result of a multi-core case.
-
-        For ``cores == 1`` the member key IS the case key: a 1-core
-        socket is the historical single-core case, sharing its cache
-        entry.
-        """
-        if self.cores == 1 and core == 0:
+        """Cache key for core ``core``'s result of this case."""
+        if self.cores == 1:
             return self.key()
-        text = json.dumps(
-            self.member_fingerprint(core), sort_keys=True,
-            separators=(",", ":"),
-        )
-        return hashlib.sha256(text.encode("utf-8")).hexdigest()
+        return _digest(self.member_fingerprint(core))
+
+    def member_label(self, core: int) -> str:
+        """Log/invariant context for core ``core``'s result."""
+        if self.cores == 1:
+            return self.label()
+        return f"{self.label()}[core{core}]"
+
+
+def _digest(fingerprint: dict) -> str:
+    """SHA-256 hex digest of a fingerprint's canonical JSON dump."""
+    text = json.dumps(fingerprint, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)
-class FusedGroup:
-    """Several cases sharing one timing, executed as one pipeline run.
+class Job:
+    """One timing run and every result it publishes.
 
-    Built by the scheduler when fusion is on: every member has the same
-    :meth:`CaseSpec.timing_key` and differs only in accounting
-    configuration.  The group duck-types the parts of the ``CaseSpec``
-    surface the supervisor consumes (key/label/fingerprint/instructions/
-    workload), so supervised retries, deadlines and failure reports work
-    on groups unchanged; each member's result is still published under
-    the member's own cache key.
+    ``specs`` share one :meth:`CaseSpec.timing_key` and differ only in
+    accounting configuration, so each attaches its collector to the same
+    pipeline run.  The supervisor attempts, times out and retries a job as
+    a unit; its results travel, validate and publish in :attr:`members`
+    order, each under its own member key.
     """
 
     specs: tuple[CaseSpec, ...]
+    #: Each spec's case key.  Keys cost a config fingerprint apiece, so a
+    #: job derives its identities once, at construction.
+    spec_keys: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    #: (member key, spec, core) for every result, spec-major: a single
+    #: case is 1 spec x 1 core, a fused group K specs x 1 core, a socket
+    #: 1 spec x N cores, and K specs x N cores fuses collectors across a
+    #: socket.
+    members: tuple[tuple[str, CaseSpec, int], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
-        if len(self.specs) < 2:
-            raise ValueError("a FusedGroup needs at least two members")
-        if any(spec.cores > 1 for spec in self.specs):
-            # A multi-core case is already one engine run producing every
-            # core's result; fusing it with anything would conflate the
-            # engine's per-core collectors with fused-member collectors.
-            raise ValueError("multi-core cases cannot be fused")
-        timing_keys = {spec.timing_key() for spec in self.specs}
-        if len(timing_keys) != 1:
-            raise ValueError(
-                "FusedGroup members must share one timing key, "
-                f"got {len(timing_keys)} distinct timings"
-            )
+        if not self.specs:
+            raise ValueError("a Job needs at least one spec")
+        if len(self.specs) > 1:
+            timing_keys = {spec.timing_key() for spec in self.specs}
+            if len(timing_keys) != 1:
+                raise ValueError(
+                    "Job specs must share one timing key, "
+                    f"got {len(timing_keys)} distinct timings"
+                )
+        # Frozen: derived fields are set once, bypassing __setattr__.
+        object.__setattr__(
+            self, "spec_keys", tuple(spec.key() for spec in self.specs)
+        )
+        object.__setattr__(
+            self,
+            "members",
+            tuple(
+                (spec.member_key(core), spec, core)
+                for spec in self.specs
+                for core in range(self.cores)
+            ),
+        )
 
     @property
-    def workload(self) -> str:
-        return self.specs[0].workload
-
-    @property
-    def instructions(self) -> int | None:
-        return self.specs[0].instructions
+    def cores(self) -> int:
+        return self.specs[0].cores
 
     def key(self) -> str:
-        """Content address of the group (checkpoints live under this).
+        """Content address of the job (its checkpoints live under this).
 
-        Derived from the sorted member keys: any change to the membership
-        or to any member's identity moves the group key, so a checkpoint
-        can never be resumed by a differently-composed group.
+        A one-spec job is keyed by its case key.  Several specs are keyed
+        by the SHA-256 of their sorted case keys: any change to the
+        membership or to any member's identity moves the key, so a
+        checkpoint can never be resumed by a differently-composed job.
         """
-        text = "\n".join(sorted(spec.key() for spec in self.specs))
+        if len(self.spec_keys) == 1:
+            return self.spec_keys[0]
+        text = "\n".join(sorted(self.spec_keys))
         return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-    def timing_key(self) -> str:
-        return self.specs[0].timing_key()
 
     def label(self) -> str:
         first = self.specs[0].label()
+        if len(self.specs) == 1:
+            return first
         return f"{first} (+{len(self.specs) - 1} fused)"
-
-    def fingerprint(self) -> dict:
-        return {
-            "fused": [spec.fingerprint() for spec in self.specs],
-            "timing": self.specs[0].timing_fingerprint(),
-        }
 
 
 @dataclass
 class HarnessTelemetry:
     """Process-wide harness counters (reset between experiments/tests).
 
-    ``sim_invocations`` counts simulations performed *on behalf of this
+    ``sim_invocations`` counts timing runs performed *on behalf of this
     process* — in-process runs and pool-worker runs alike (the parent
-    increments when it collects a worker result), so a warm-cache rerun
-    asserting "zero simulator invocations" sees through the pool.
+    re-records when it collects a worker's job), so a warm-cache rerun
+    asserting "zero simulator invocations" sees through the pool.  A job
+    counts once however many members ride on it.
     """
 
     sim_invocations: int = 0
@@ -293,65 +307,44 @@ class HarnessTelemetry:
     disk_hits: int = 0
     disk_misses: int = 0
     corrupt_entries: int = 0
-    uops_simulated: int = 0
+    #: Whole-run committed instructions (warmup included), summed over
+    #: every core of each timing run.
+    instrs_simulated: int = 0
     sim_seconds: float = 0.0
     #: Checkpoint resumes: how many runs continued from a snapshot, and
     #: the total committed instructions those snapshots preserved.
     resume_events: int = 0
     resumed_instructions: int = 0
-    #: Fused execution: timing groups run as one pipeline pass, and how
-    #: many whole simulations that fusion avoided (members minus one per
-    #: group).
+    #: Fused execution: multi-spec jobs run as one pipeline pass, and how
+    #: many whole simulations that fusion avoided (specs minus one per
+    #: job).
     fused_groups: int = 0
     fused_runs_saved: int = 0
-    #: (case label, simulated wall seconds) per simulation, newest last.
-    case_seconds: list[tuple[str, float]] = field(default_factory=list)
 
     def reset(self) -> None:
-        self.sim_invocations = 0
-        self.memo_hits = 0
-        self.disk_hits = 0
-        self.disk_misses = 0
-        self.corrupt_entries = 0
-        self.uops_simulated = 0
-        self.sim_seconds = 0.0
-        self.resume_events = 0
-        self.resumed_instructions = 0
-        self.fused_groups = 0
-        self.fused_runs_saved = 0
-        self.case_seconds.clear()
+        for name in self.counters():
+            setattr(self, name, 0)
 
-    def record_simulation(self, label: str, result: SimResult) -> None:
+    def record_job(
+        self, job: Job, results: list[SimResult], resumed_from: int | None
+    ) -> None:
+        """One job's timing run finished (``results`` in member order)."""
+        per_core = results[: job.cores]
         self.sim_invocations += 1
-        self.uops_simulated += result.committed_uops
-        self.sim_seconds += result.wall_seconds
-        self.case_seconds.append((label, result.wall_seconds))
-
-    def record_resume(self, committed_instrs: int) -> None:
-        """A run continued from a checkpoint holding this much progress."""
-        self.resume_events += 1
-        self.resumed_instructions += committed_instrs
+        self.instrs_simulated += sum(r.committed_instrs for r in per_core)
+        self.sim_seconds += per_core[0].wall_seconds
+        if resumed_from is not None:
+            self.resume_events += 1
+            self.resumed_instructions += resumed_from
 
     def record_fusion(self, groups: int, runs_saved: int) -> None:
-        """A batch fused ``groups`` timing groups, avoiding this many
+        """A batch fused ``groups`` multi-spec jobs, avoiding this many
         whole simulations."""
         self.fused_groups += groups
         self.fused_runs_saved += runs_saved
 
     def counters(self) -> dict[str, float]:
-        return {
-            "sim_invocations": self.sim_invocations,
-            "memo_hits": self.memo_hits,
-            "disk_hits": self.disk_hits,
-            "disk_misses": self.disk_misses,
-            "corrupt_entries": self.corrupt_entries,
-            "uops_simulated": self.uops_simulated,
-            "sim_seconds": self.sim_seconds,
-            "resume_events": self.resume_events,
-            "resumed_instructions": self.resumed_instructions,
-            "fused_groups": self.fused_groups,
-            "fused_runs_saved": self.fused_runs_saved,
-        }
+        return dict(vars(self))
 
 
 #: The process-wide telemetry instance shared by runner and scheduler.

@@ -2,20 +2,24 @@
 
 The paper's experiments are embarrassingly parallel — every Table I /
 Fig. 2 / Fig. 3 / FLOPS-study artifact is a list of fully independent
-``run_case`` simulations.  :func:`run_cases` is the batch API the
-experiment modules declare their full case list to:
+``run_case`` simulations.  :func:`run_cases` (single-core cases) and
+:func:`run_multicore_cases` (sockets) are the batch APIs the experiment
+modules declare their full case list to.  Both are result shapers over
+one batch path:
 
-1. keys are computed for every spec and duplicates collapse onto one
-   in-flight entry (a Fig. 2 sweep requests each baseline many times);
+1. member keys are computed for every spec and duplicates collapse onto
+   one in-flight entry (a Fig. 2 sweep requests each baseline many times);
 2. the cache hierarchy (in-process memo, then the persistent disk cache)
-   is consulted per unique key;
-3. remaining misses are dispatched under **supervision**
-   (:mod:`repro.experiments.supervisor`): per-case deadlines, bounded
-   retries, pool rebuild on worker death with serial fallback, and
-   persisted :class:`~repro.experiments.supervisor.FailureReport` records
-   for cases that never recover.  ``jobs`` argument > ``REPRO_JOBS`` env
-   > ``os.cpu_count()``; with ``jobs=1`` everything runs in-process,
-   which is the deterministic serial baseline;
+   is consulted per member key;
+3. the misses are grouped into :class:`~repro.experiments.cache.Job`
+   items — one per spec, or one per timing key under fusion — and
+   dispatched under **supervision** (:mod:`repro.experiments.supervisor`):
+   per-job deadlines, bounded retries, pool rebuild on worker death with
+   serial fallback, and persisted
+   :class:`~repro.experiments.supervisor.FailureReport` records for cases
+   that never recover.  ``jobs`` argument > ``REPRO_JOBS`` env >
+   ``os.cpu_count()``; with ``jobs=1`` everything runs in-process, which
+   is the deterministic serial baseline;
 4. results are collected in submission order (never completion order),
    round-tripped through ``SimResult.to_dict``, checked by the runtime
    invariant guard, published to both cache levels, and returned in the
@@ -29,7 +33,7 @@ failed slots) so a long sweep survives individual bad cases.
 
 Observability: each batch leaves a :class:`BatchStats` in
 :data:`LAST_BATCH` with wall time, per-level hit counts, supervision
-counters (retries/timeouts/pool rebuilds) and simulated uops/sec;
+counters (retries/timeouts/pool rebuilds) and simulated kinstr/s;
 experiments print its ``summary()`` line and ``repro cache stats``
 exposes the process-wide counters.
 """
@@ -42,7 +46,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from repro.experiments import runner, supervisor
-from repro.experiments.cache import TELEMETRY, CaseSpec, FusedGroup
+from repro.experiments.cache import TELEMETRY, CaseSpec, Job
 from repro.experiments.supervisor import BatchFailure, FailureReport
 from repro.pipeline.result import SimResult
 
@@ -95,49 +99,90 @@ def resolve_jobs(jobs: int | str | None = None) -> int:
 
 @dataclass(slots=True)
 class BatchStats:
-    """What one ``run_cases`` batch did, for the summary line."""
+    """What one batch — or a span of batches, see :func:`summarize_since`
+    — did, for the summary line."""
 
+    #: Cases requested (over a span: case lookups, hits plus runs).
     cases: int = 0
-    unique: int = 0
-    jobs: int = 1
+    #: Distinct cases and worker count; None over a span of batches.
+    unique: int | None = None
+    jobs: int | None = None
     memo_hits: int = 0
     disk_hits: int = 0
+    #: Timing runs (a fused job or a socket counts once).
     simulated: int = 0
     wall_seconds: float = 0.0
     sim_seconds: float = 0.0
-    uops_simulated: int = 0
-    #: (case label, simulator wall seconds) for each case simulated here.
-    case_seconds: list[tuple[str, float]] = field(default_factory=list)
+    #: Whole-run committed instructions summed over every simulated core.
+    instrs_simulated: int = 0
+    #: Checkpoint resumes (runs that continued instead of restarting).
+    resumes: int = 0
+    resumed_instructions: int = 0
+    #: Fused execution: multi-spec jobs run as one pipeline pass, and the
+    #: whole simulations that fusion avoided (specs minus one per job).
+    fused_groups: int = 0
+    fused_runs_saved: int = 0
     #: Supervision counters (all zero on a healthy batch).
     failures: int = 0
     retries: int = 0
     timeouts: int = 0
     pool_rebuilds: int = 0
     serial_fallback: bool = False
-    #: Checkpoint resumes (cases that continued instead of restarting).
-    resumes: int = 0
-    resumed_instructions: int = 0
-    #: Fused execution: timing groups run as one pipeline pass, and the
-    #: whole simulations that fusion avoided (members minus one per group).
-    fused_groups: int = 0
-    fused_runs_saved: int = 0
     #: Per-key report for every case given up on this batch.
     failure_reports: dict[str, FailureReport] = field(default_factory=dict)
 
+    @classmethod
+    def since(
+        cls,
+        mark: tuple[float, dict[str, float]],
+        outcome: supervisor.SupervisionOutcome | None = None,
+        **scope,
+    ) -> "BatchStats":
+        """Stats from the telemetry delta since ``mark`` (see
+        :func:`telemetry_mark`) plus a batch's supervision outcome."""
+        start, before = mark
+        after = TELEMETRY.counters()
+        delta = {name: after[name] - before[name] for name in after}
+        stats = cls(
+            memo_hits=delta["memo_hits"],
+            disk_hits=delta["disk_hits"],
+            simulated=delta["sim_invocations"],
+            wall_seconds=time.perf_counter() - start,
+            sim_seconds=delta["sim_seconds"],
+            instrs_simulated=delta["instrs_simulated"],
+            resumes=delta["resume_events"],
+            resumed_instructions=delta["resumed_instructions"],
+            fused_groups=delta["fused_groups"],
+            fused_runs_saved=delta["fused_runs_saved"],
+            **scope,
+        )
+        if outcome is not None:
+            stats.failures = len(outcome.failures)
+            stats.retries = outcome.retries
+            stats.timeouts = outcome.timeouts
+            stats.pool_rebuilds = outcome.pool_rebuilds
+            stats.serial_fallback = outcome.serial_fallback
+            stats.failure_reports = dict(outcome.failures)
+        return stats
+
     @property
-    def uops_per_second(self) -> float:
+    def instrs_per_second(self) -> float:
         if self.wall_seconds <= 0:
             return 0.0
-        return self.uops_simulated / self.wall_seconds
+        return self.instrs_simulated / self.wall_seconds
 
     def summary(self) -> str:
-        rate = self.uops_per_second
+        if self.unique is None:
+            scope = f"{self.cases} case lookups"
+        else:
+            scope = f"{self.cases} cases ({self.unique} unique)"
+        jobs = "" if self.jobs is None else f"jobs={self.jobs} "
         line = (
-            f"[harness] {self.cases} cases ({self.unique} unique): "
+            f"[harness] {scope}: "
             f"{self.simulated} simulated, {self.memo_hits} memo hits, "
-            f"{self.disk_hits} disk hits | jobs={self.jobs} "
+            f"{self.disk_hits} disk hits | {jobs}"
             f"wall={self.wall_seconds:.2f}s sim={self.sim_seconds:.2f}s "
-            f"({rate / 1e3:.0f}k uops/s)"
+            f"({self.instrs_per_second / 1e3:.0f} kinstr/s)"
         )
         extras = []
         if self.fused_groups:
@@ -169,6 +214,88 @@ class BatchStats:
 LAST_BATCH: BatchStats | None = None
 
 
+def _lookup_members(keys: list[str], results: dict[str, SimResult]) -> bool:
+    """Memo/disk lookup of every member key of one case into ``results``.
+
+    All must hit: a socket's cores share one timing run through the
+    shared L3/DRAM backend and cannot be resimulated alone, so a partial
+    hit is a miss and the whole case reruns.
+    """
+    hits = []
+    for key in keys:
+        hit = runner.lookup_cached(key)
+        if hit is None:
+            return False
+        hits.append(hit)
+    results.update(zip(keys, hits))
+    return True
+
+
+def _resolve(
+    spec_list: Sequence[CaseSpec],
+    *,
+    jobs: int | str | None,
+    use_cache: bool,
+    fuse: bool | None,
+    keep_going: bool,
+    **supervision,
+) -> tuple[list[list[str]], dict[str, SimResult]]:
+    """The one batch path: dedupe, memo/disk lookup, group the misses
+    into jobs, supervise them, record :data:`LAST_BATCH`.
+
+    Returns each spec's member keys (core order) and the member key ->
+    result map; a failed case's members are absent.
+    """
+    workers = resolve_jobs(jobs)
+    if fuse is None:
+        fuse = fuse_default()
+    mark = telemetry_mark()
+
+    member_keys = [
+        [spec.member_key(core) for core in range(spec.cores)]
+        for spec in spec_list
+    ]
+    results: dict[str, SimResult] = {}
+    seen: set[str] = set()
+    pending: list[CaseSpec] = []
+    for spec, keys in zip(spec_list, member_keys):
+        if keys[0] in seen:
+            continue
+        seen.add(keys[0])
+        if use_cache and _lookup_members(keys, results):
+            continue
+        pending.append(spec)
+
+    # Only misses become jobs.  With fusion, misses sharing a timing key
+    # run as one job with every requested collector attached.
+    if fuse and len(pending) > 1:
+        by_timing: dict[str, list[CaseSpec]] = {}
+        for spec in pending:
+            by_timing.setdefault(spec.timing_key(), []).append(spec)
+        groups = list(by_timing.values())
+    else:
+        groups = [[spec] for spec in pending]
+    batch = [Job(tuple(group)) for group in groups]
+    fused = [len(job.specs) for job in batch if len(job.specs) > 1]
+    if fused:
+        TELEMETRY.record_fusion(len(fused), sum(fused) - len(fused))
+
+    outcome = supervisor.SupervisionOutcome()
+    if batch:
+        outcome = supervisor.run_supervised(
+            batch, jobs=workers, use_cache=use_cache, **supervision
+        )
+        results.update(outcome.results)
+
+    global LAST_BATCH
+    LAST_BATCH = BatchStats.since(
+        mark, outcome, cases=len(spec_list), unique=len(seen), jobs=workers
+    )
+    if outcome.failures and not keep_going:
+        raise BatchFailure(outcome.failures)
+    return member_keys, results
+
+
 def run_cases(
     specs: Iterable[CaseSpec],
     *,
@@ -182,7 +309,8 @@ def run_cases(
     checkpoint_interval: int | None = None,
     fuse: bool | None = None,
 ) -> list[SimResult | None]:
-    """Resolve a batch of case specs, in parallel where possible.
+    """Resolve a batch of single-core case specs, in parallel where
+    possible.
 
     Returns one :class:`SimResult` per input spec, in input order.
     Duplicate specs are deduplicated in flight and share one result
@@ -205,12 +333,12 @@ def run_cases(
     **Fused execution** (``fuse``, default from ``$REPRO_FUSE``, on
     unless ``"0"``): cache-missing specs sharing one *timing key* —
     identical trace, machine config, wrong-path mode, warmup and seeds,
-    differing only in accounting configuration — are grouped into
-    :class:`~repro.experiments.cache.FusedGroup` items and executed as a
-    single pipeline run with every requested collector attached.  The
-    batch cost then scales with distinct timings rather than cases; each
-    member's result is bitwise identical to its unfused run and still
-    lands in the disk cache under its own key.
+    differing only in accounting configuration — run as one
+    :class:`~repro.experiments.cache.Job`: a single pipeline run with
+    every requested collector attached.  The batch cost then scales with
+    distinct timings rather than cases; each member's result is bitwise
+    identical to its unfused run and still lands in the disk cache under
+    its own key.  ``fuse=False`` runs one spec per job.
     """
     spec_list: Sequence[CaseSpec] = list(specs)
     for spec in spec_list:
@@ -219,95 +347,13 @@ def run_cases(
                 f"{spec.label()} is a multi-core case; use "
                 "run_multicore_cases for cores > 1"
             )
-    jobs = resolve_jobs(jobs)
-    if fuse is None:
-        fuse = fuse_default()
-    start = time.perf_counter()
-    before = TELEMETRY.counters()
-    sims_before = len(TELEMETRY.case_seconds)
-
-    keys = [spec.key() for spec in spec_list]
-    results: dict[str, SimResult] = {}
-    pending: dict[str, CaseSpec] = {}
-    for key, spec in zip(keys, spec_list):
-        if key in results or key in pending:
-            continue
-        if use_cache:
-            cached = runner.lookup_cached(key)
-            if cached is not None:
-                results[key] = cached
-                continue
-        pending[key] = spec
-
-    # Fusion: group the cache misses by timing key; each multi-member
-    # group becomes one supervised item running all collectors at once.
-    items: list = list(pending.items())
-    fused_groups = 0
-    fused_runs_saved = 0
-    if fuse and len(pending) > 1:
-        by_timing: dict[str, list[tuple[str, CaseSpec]]] = {}
-        for key, spec in pending.items():
-            by_timing.setdefault(spec.timing_key(), []).append((key, spec))
-        items = []
-        for members in by_timing.values():
-            if len(members) == 1:
-                items.append(members[0])
-            else:
-                group = FusedGroup(
-                    specs=tuple(spec for _key, spec in members)
-                )
-                items.append((group.key(), group))
-                fused_groups += 1
-                fused_runs_saved += len(members) - 1
-        if fused_groups:
-            TELEMETRY.record_fusion(fused_groups, fused_runs_saved)
-
-    outcome = supervisor.SupervisionOutcome()
-    if pending:
-        outcome = supervisor.run_supervised(
-            items,
-            jobs=jobs,
-            mp_start_method=mp_start_method,
-            use_cache=use_cache,
-            case_timeout=case_timeout,
-            max_attempts=max_attempts,
-            retry_backoff=retry_backoff,
-            checkpoint_interval=checkpoint_interval,
-        )
-        results.update(outcome.results)
-
-    after = TELEMETRY.counters()
-    stats = BatchStats(
-        cases=len(spec_list),
-        unique=len(set(keys)),
-        jobs=jobs,
-        memo_hits=int(after["memo_hits"] - before["memo_hits"]),
-        disk_hits=int(after["disk_hits"] - before["disk_hits"]),
-        simulated=int(
-            after["sim_invocations"] - before["sim_invocations"]
-        ),
-        wall_seconds=time.perf_counter() - start,
-        sim_seconds=after["sim_seconds"] - before["sim_seconds"],
-        uops_simulated=int(
-            after["uops_simulated"] - before["uops_simulated"]
-        ),
-        case_seconds=list(TELEMETRY.case_seconds[sims_before:]),
-        failures=len(outcome.failures),
-        retries=outcome.retries,
-        timeouts=outcome.timeouts,
-        pool_rebuilds=outcome.pool_rebuilds,
-        serial_fallback=outcome.serial_fallback,
-        resumes=outcome.resumes,
-        resumed_instructions=outcome.resumed_instructions,
-        fused_groups=fused_groups,
-        fused_runs_saved=fused_runs_saved,
-        failure_reports=dict(outcome.failures),
+    member_keys, results = _resolve(
+        spec_list, jobs=jobs, use_cache=use_cache, fuse=fuse,
+        keep_going=keep_going, mp_start_method=mp_start_method,
+        case_timeout=case_timeout, max_attempts=max_attempts,
+        retry_backoff=retry_backoff, checkpoint_interval=checkpoint_interval,
     )
-    global LAST_BATCH
-    LAST_BATCH = stats
-    if outcome.failures and not keep_going:
-        raise BatchFailure(outcome.failures)
-    return [results.get(key) for key in keys]
+    return [results.get(keys[0]) for keys in member_keys]
 
 
 def run_multicore_cases(
@@ -330,85 +376,28 @@ def run_multicore_cases(
     historical single-core case (same cache key, same plain trace) and
     comes back as a one-element list.
 
-    Each multi-core spec is one supervised item: the whole socket is
-    attempted, timed out and retried as a unit (per-core timings are
-    coupled through the shared L3/DRAM backend, so a subset cannot be
-    recomputed alone), but per-core results land in the cache under their
-    member keys.  A cached socket requires every member key to hit —
-    partial hits rerun the whole engine.  Fusion never applies: the
-    engine already runs every core's collector in one pass.
+    A socket is attempted, timed out and retried as a unit (per-core
+    timings are coupled through the shared L3/DRAM backend, so a subset
+    cannot be recomputed alone), but per-core results land in the cache
+    under their member keys.  A cached socket requires every member key
+    to hit — partial hits rerun the whole engine.  Sockets sharing one
+    timing (differing only in accounting) fuse into one engine run
+    unless ``$REPRO_FUSE`` is ``"0"``; the other options are
+    :func:`run_cases`'s.
     """
-    spec_list: Sequence[CaseSpec] = list(specs)
-    jobs = resolve_jobs(jobs)
-    start = time.perf_counter()
-    before = TELEMETRY.counters()
-    sims_before = len(TELEMETRY.case_seconds)
-
-    keys = [spec.key() for spec in spec_list]
-    results: dict[str, list[SimResult]] = {}
-    pending: dict[str, CaseSpec] = {}
-    for key, spec in zip(keys, spec_list):
-        if key in results or key in pending:
-            continue
-        if use_cache:
-            cached = runner.lookup_cached_multicore(spec)
-            if cached is not None:
-                results[key] = cached
-                continue
-        pending[key] = spec
-
-    outcome = supervisor.SupervisionOutcome()
-    if pending:
-        outcome = supervisor.run_supervised(
-            list(pending.items()),
-            jobs=jobs,
-            mp_start_method=mp_start_method,
-            use_cache=use_cache,
-            case_timeout=case_timeout,
-            max_attempts=max_attempts,
-            retry_backoff=retry_backoff,
-            checkpoint_interval=checkpoint_interval,
-        )
-        for key, result in outcome.results.items():
-            # A cores == 1 spec flows through the single-case worker
-            # branch and comes back bare; normalize to the list shape.
-            results[key] = result if isinstance(result, list) else [result]
-
-    after = TELEMETRY.counters()
-    stats = BatchStats(
-        cases=len(spec_list),
-        unique=len(set(keys)),
-        jobs=jobs,
-        memo_hits=int(after["memo_hits"] - before["memo_hits"]),
-        disk_hits=int(after["disk_hits"] - before["disk_hits"]),
-        simulated=int(
-            after["sim_invocations"] - before["sim_invocations"]
-        ),
-        wall_seconds=time.perf_counter() - start,
-        sim_seconds=after["sim_seconds"] - before["sim_seconds"],
-        uops_simulated=int(
-            after["uops_simulated"] - before["uops_simulated"]
-        ),
-        case_seconds=list(TELEMETRY.case_seconds[sims_before:]),
-        failures=len(outcome.failures),
-        retries=outcome.retries,
-        timeouts=outcome.timeouts,
-        pool_rebuilds=outcome.pool_rebuilds,
-        serial_fallback=outcome.serial_fallback,
-        resumes=outcome.resumes,
-        resumed_instructions=outcome.resumed_instructions,
-        failure_reports=dict(outcome.failures),
+    member_keys, results = _resolve(
+        list(specs), jobs=jobs, use_cache=use_cache, fuse=None,
+        keep_going=keep_going, mp_start_method=mp_start_method,
+        case_timeout=case_timeout, max_attempts=max_attempts,
+        retry_backoff=retry_backoff, checkpoint_interval=checkpoint_interval,
     )
-    global LAST_BATCH
-    LAST_BATCH = stats
-    if outcome.failures and not keep_going:
-        raise BatchFailure(outcome.failures)
-    return [results.get(key) for key in keys]
-
-
-def last_batch_summary() -> str | None:
-    """Summary line of the most recent batch, if any ran."""
-    return LAST_BATCH.summary() if LAST_BATCH is not None else None
+    shaped: list[list[SimResult] | None] = []
+    for keys in member_keys:
+        per_core = [results.get(key) for key in keys]
+        shaped.append(
+            None if any(r is None for r in per_core) else per_core
+        )
+    return shaped
 
 
 def telemetry_mark() -> tuple[float, dict[str, float]]:
@@ -419,32 +408,6 @@ def telemetry_mark() -> tuple[float, dict[str, float]]:
 
 def summarize_since(mark: tuple[float, dict[str, float]]) -> str:
     """One-line harness summary of everything since ``telemetry_mark``."""
-    start, before = mark
-    after = TELEMETRY.counters()
-    wall = time.perf_counter() - start
-    simulated = int(after["sim_invocations"] - before["sim_invocations"])
-    memo = int(after["memo_hits"] - before["memo_hits"])
-    disk = int(after["disk_hits"] - before["disk_hits"])
-    uops = after["uops_simulated"] - before["uops_simulated"]
-    sim_seconds = after["sim_seconds"] - before["sim_seconds"]
-    resumes = int(after["resume_events"] - before["resume_events"])
-    preserved = int(
-        after["resumed_instructions"] - before["resumed_instructions"]
-    )
-    fused = int(after["fused_groups"] - before["fused_groups"])
-    saved = int(after["fused_runs_saved"] - before["fused_runs_saved"])
-    rate = uops / wall if wall > 0 else 0.0
-    line = (
-        f"[harness] {simulated + memo + disk} case lookups: "
-        f"{simulated} simulated, {memo} memo hits, {disk} disk hits | "
-        f"wall={wall:.2f}s sim={sim_seconds:.2f}s "
-        f"({rate / 1e3:.0f}k uops/s)"
-    )
-    if fused:
-        line += f" | {fused} fused groups ({saved} runs saved)"
-    if resumes:
-        line += (
-            f" | {resumes} checkpoint resumes "
-            f"({preserved} instrs preserved)"
-        )
-    return line
+    stats = BatchStats.since(mark)
+    stats.cases = stats.simulated + stats.memo_hits + stats.disk_hits
+    return stats.summary()

@@ -11,8 +11,14 @@ are cached at three levels, consulted in order:
 3. the simulator itself.
 
 Traces are memoized too: baseline and idealized runs must replay the
-identical program, as in the paper's methodology.  For batch scheduling of
-many cases across worker processes, see :mod:`repro.experiments.parallel`.
+identical program, as in the paper's methodology.
+
+Every simulation runs as a :class:`~repro.experiments.cache.Job` through
+the same three steps: :func:`execute_job` (build, run with checkpoints,
+guard every member), :func:`lookup_cached` and :func:`publish` (one
+cache entry per member key).  :func:`run_spec` strings them together
+for one case in-process; for batch scheduling of many cases across
+worker processes, see :mod:`repro.experiments.parallel`.
 """
 
 from __future__ import annotations
@@ -24,33 +30,30 @@ from repro.experiments.cache import (
     DEFAULT_WARMUP_FRACTION,
     TELEMETRY,
     CaseSpec,
-    FusedGroup,
+    Job,
     get_disk_cache,
 )
 from repro.isa.instructions import Program
 from repro.pipeline import checkpoint as ckpt
 from repro.pipeline.core import CoreSimulator
+from repro.pipeline.multicore import MulticoreSimulator
 from repro.pipeline.result import SimResult
 from repro.workloads.registry import get_workload, make_threaded_traces
 
 __all__ = [
     "DEFAULT_WARMUP_FRACTION",
     "CaseSpec",
-    "FusedGroup",
+    "Job",
     "clear_cache",
-    "execute_fused_checkpointed",
-    "execute_multicore_checkpointed",
-    "execute_spec",
-    "execute_spec_checkpointed",
+    "execute_job",
     "get_threaded_traces",
     "get_trace",
     "lookup_cached",
-    "lookup_cached_multicore",
+    "publish",
     "run_case",
-    "run_multicore_spec",
     "run_spec",
-    "store_multicore_result",
     "store_result",
+    "verify_members",
 ]
 
 _trace_cache: dict[tuple, Program] = {}
@@ -92,203 +95,111 @@ def get_threaded_traces(
     return traces
 
 
-def execute_spec(spec: CaseSpec) -> SimResult:
-    """Simulate one case unconditionally (no cache consultation).
+def _simulator(job: Job, snapshot: bytes | None):
+    """The job's simulator, fresh or restored from a checkpoint snapshot,
+    plus its cores in core order.
 
-    Every fresh result passes the runtime invariant guard before it is
-    returned: in strict mode (the default) a violating result raises
-    :class:`repro.core.invariants.InvariantViolation` instead of flowing
-    into reports or caches.
-
-    When ``REPRO_CHECKPOINT_INTERVAL`` is set, the run takes crash-safe
-    snapshots and resumes from the newest valid one left by a previous
-    attempt (see :func:`execute_spec_checkpointed`).
+    A 1-core job is the historical single-core case (same cache key, the
+    plain trace); routing it through the threaded decomposition would
+    publish a different program's result under that key.  N > 1 cores
+    run the threaded decomposition in cycle lockstep over a shared
+    L3/DRAM backend.
     """
-    result, _resumed = execute_spec_checkpointed(
-        spec, ckpt.checkpoint_interval_default()
-    )
-    return result
-
-
-def execute_spec_checkpointed(
-    spec: CaseSpec,
-    interval: int | None,
-    on_checkpoint=None,
-) -> tuple[SimResult, int | None]:
-    """Simulate one case with periodic crash-safe checkpoints.
-
-    With ``interval`` set, the case resumes from the newest valid
-    checkpoint under its cache key when one exists (corrupt files are
-    evicted on the way — see
-    :func:`repro.pipeline.checkpoint.latest_valid_checkpoint`) and writes
-    a new checkpoint every ``interval`` committed instructions.  Returns
-    ``(result, resumed_from)`` where ``resumed_from`` is the committed
-    instruction count of the checkpoint the run continued from, or None
-    for an uninterrupted (or checkpoint-free) run.  Checkpoints are *not*
-    deleted here: the supervisor clears them once the result is safely
-    published, so a crash between finish and publish still recovers.
-    """
-    trace = get_trace(spec.workload, spec.instructions, spec.seed)
-    resumed_from: int | None = None
-    sim: CoreSimulator | None = None
-    key = spec.key()
-    if interval:
-        found = ckpt.latest_valid_checkpoint(key)
-        if found is not None:
-            _path, payload, meta = found
-            sim = CoreSimulator.from_snapshot(payload)
-            resumed_from = int(meta.get("committed_instrs", 0))
-    if sim is None:
-        config = spec.resolved_config()
-        warmup = int(len(trace) * spec.warmup_fraction)
-        sim = CoreSimulator(
-            trace,
-            config,
-            mode=spec.mode,
-            warmup_instructions=warmup,
-            seed=spec.simulate_seed,
-            collectors=(spec.collector_spec(),),
+    first = job.specs[0]
+    collectors = tuple(spec.collector_spec() for spec in job.specs)
+    if job.cores == 1:
+        if snapshot is not None:
+            sim = CoreSimulator.from_snapshot(snapshot)
+        else:
+            trace = get_trace(first.workload, first.instructions, first.seed)
+            sim = CoreSimulator(
+                trace,
+                first.resolved_config(),
+                mode=first.mode,
+                warmup_instructions=int(len(trace) * first.warmup_fraction),
+                seed=first.simulate_seed,
+                collectors=collectors,
+            )
+        return sim, [sim]
+    if snapshot is not None:
+        sim = MulticoreSimulator.from_snapshot(snapshot)
+    else:
+        traces = get_threaded_traces(
+            first.workload, first.cores, first.instructions, first.seed
         )
-    result = sim.run(
-        checkpoint_interval=interval,
-        checkpoint_key=key if interval else None,
-        on_checkpoint=on_checkpoint,
-    )
-    TELEMETRY.record_simulation(spec.label(), result)
-    if resumed_from is not None:
-        TELEMETRY.record_resume(resumed_from)
-    invariants.verify_result(result, context=spec.label())
-    return result, resumed_from
+        sim = MulticoreSimulator(
+            traces,
+            first.resolved_config(),
+            mode=first.mode,
+            seeds=tuple(
+                first.simulate_seed + core for core in range(first.cores)
+            ),
+            warmup_instructions=tuple(
+                int(len(trace) * first.warmup_fraction) for trace in traces
+            ),
+            collectors=collectors,
+        )
+    return sim, sim.cores
 
 
-def execute_fused_checkpointed(
-    group: FusedGroup,
+def execute_job(
+    job: Job,
     interval: int | None,
     on_checkpoint=None,
 ) -> tuple[list[SimResult], int | None]:
-    """Simulate one fused timing group: one pipeline run, every member's
-    collector attached, one :class:`SimResult` per member (group order).
+    """Run one job's timing simulation: one result per member, in member
+    order (see :attr:`Job.members`).
 
-    Checkpoints live under the *group* key (derived from the sorted
-    member keys), and a snapshot carries every attached collector, so a
-    resumed fused run restores all members bitwise.  Telemetry counts the
-    group as a single simulator invocation — fusion's entire point is
-    that the batch cost scales with distinct timings, and
-    ``sim_invocations`` must reflect that.  Each member's result passes
-    the invariant guard independently under its own label.
+    With ``interval`` set, the job resumes from the newest valid
+    checkpoint under its key when one exists (corrupt files are evicted
+    on the way — see :func:`repro.pipeline.checkpoint.latest_valid_checkpoint`)
+    and writes a new one every ``interval`` committed instructions.  A
+    snapshot carries every core and every attached collector, so a
+    resumed run restores all members bitwise.  Returns ``(results,
+    resumed_from)`` where ``resumed_from`` is the committed instruction
+    count the run continued from, or None for an uninterrupted (or
+    checkpoint-free) run.  Checkpoints are *not* deleted here: the
+    supervisor clears them once the results are safely published, so a
+    crash between finish and publish still recovers.
+
+    Telemetry counts the job as one simulator invocation — the batch
+    cost scales with distinct timings, however many members ride along.
+    Every member passes the invariant guard under its own label: in
+    strict mode (the default) a violation raises
+    :class:`repro.core.invariants.InvariantViolation`.
     """
-    first = group.specs[0]
-    trace = get_trace(first.workload, first.instructions, first.seed)
+    key = job.key()
+    snapshot = None
     resumed_from: int | None = None
-    sim: CoreSimulator | None = None
-    key = group.key()
     if interval:
         found = ckpt.latest_valid_checkpoint(key)
         if found is not None:
-            _path, payload, meta = found
-            sim = CoreSimulator.from_snapshot(payload)
+            _path, snapshot, meta = found
             resumed_from = int(meta.get("committed_instrs", 0))
-    if sim is None:
-        config = first.resolved_config()
-        warmup = int(len(trace) * first.warmup_fraction)
-        sim = CoreSimulator(
-            trace,
-            config,
-            mode=first.mode,
-            warmup_instructions=warmup,
-            seed=first.simulate_seed,
-            collectors=tuple(spec.collector_spec() for spec in group.specs),
-        )
+    sim, cores = _simulator(job, snapshot)
     sim.run(
         checkpoint_interval=interval,
         checkpoint_key=key if interval else None,
         on_checkpoint=on_checkpoint,
     )
-    results = list(sim.fused_results)
-    if len(results) != len(group.specs):  # pragma: no cover - defensive
-        raise RuntimeError(
-            f"fused run produced {len(results)} results for "
-            f"{len(group.specs)} members"
-        )
-    TELEMETRY.record_simulation(group.label(), results[0])
-    if resumed_from is not None:
-        TELEMETRY.record_resume(resumed_from)
-    for spec, result in zip(group.specs, results):
-        invariants.verify_result(result, context=spec.label())
+    results = [
+        core.fused_results[index]
+        for index in range(len(job.specs))
+        for core in cores
+    ]
+    TELEMETRY.record_job(job, results, resumed_from)
+    verify_members(job, results)
     return results, resumed_from
 
 
-def execute_multicore_checkpointed(
-    spec: CaseSpec,
-    interval: int | None,
-    on_checkpoint=None,
-) -> tuple[list[SimResult], int | None]:
-    """Simulate one multi-core case: a cycle-lockstep engine run over a
-    shared L3/DRAM backend, one :class:`SimResult` per core (core order).
-
-    Checkpoints live under the socket-level cache key and snapshot the
-    whole engine (every core plus the shared backend), so a resumed run
-    restores all cores bitwise.  Telemetry counts the engine as a single
-    simulator invocation, mirroring fused groups.  Each core's result
-    passes the invariant guard independently under a ``[coreN]`` label.
-    """
-    from repro.pipeline.multicore import MulticoreSimulator
-
-    if spec.cores == 1:
-        # A 1-core socket IS the historical single-core case (same cache
-        # key, same plain trace); routing it through the threaded
-        # decomposition would publish a different program's result under
-        # that key.
-        result, resumed = execute_spec_checkpointed(
-            spec, interval, on_checkpoint
-        )
-        return [result], resumed
-    traces = get_threaded_traces(
-        spec.workload, spec.cores, spec.instructions, spec.seed
-    )
-    resumed_from: int | None = None
-    sim: MulticoreSimulator | None = None
-    key = spec.key()
-    if interval:
-        found = ckpt.latest_valid_checkpoint(key)
-        if found is not None:
-            _path, payload, meta = found
-            sim = MulticoreSimulator.from_snapshot(payload)
-            resumed_from = int(meta.get("committed_instrs", 0))
-    if sim is None:
-        config = spec.resolved_config()
-        sim = MulticoreSimulator(
-            traces,
-            config,
-            mode=spec.mode,
-            seeds=tuple(
-                spec.simulate_seed + core for core in range(spec.cores)
-            ),
-            warmup_instructions=tuple(
-                int(len(trace) * spec.warmup_fraction) for trace in traces
-            ),
-            collectors=(spec.collector_spec(),),
-        )
-    multi = sim.run(
-        checkpoint_interval=interval,
-        checkpoint_key=key if interval else None,
-        on_checkpoint=on_checkpoint,
-    )
-    results = list(multi.per_core)
-    if len(results) != spec.cores:  # pragma: no cover - defensive
-        raise RuntimeError(
-            f"multicore run produced {len(results)} results for "
-            f"{spec.cores} cores"
-        )
-    TELEMETRY.record_simulation(spec.label(), results[0])
-    if resumed_from is not None:
-        TELEMETRY.record_resume(resumed_from)
-    invariants.verify_per_core_results(results, context=spec.label())
-    return results, resumed_from
+def verify_members(job: Job, results: list[SimResult]) -> None:
+    """Run the invariant guard on every member result under its label."""
+    for (_key, spec, core), result in zip(job.members, results):
+        invariants.verify_result(result, context=spec.member_label(core))
 
 
 def lookup_cached(key: str) -> SimResult | None:
-    """Memo -> disk lookup for one case key (updating hit counters)."""
+    """Memo -> disk lookup for one member key (updating hit counters)."""
     cached = _result_cache.get(key)
     if cached is not None:
         TELEMETRY.memo_hits += 1
@@ -302,8 +213,11 @@ def lookup_cached(key: str) -> SimResult | None:
     return None
 
 
-def store_result(key: str, spec: CaseSpec, result: SimResult) -> None:
-    """Publish a freshly simulated result to the memo and the disk cache.
+def store_result(
+    key: str, spec: CaseSpec, result: SimResult, core: int = 0
+) -> None:
+    """Publish a freshly simulated member result to the memo and the disk
+    cache, with ``spec.member_fingerprint(core)`` as its stored identity.
 
     The invariant guard gates the persistent store: in strict mode a
     violating result raises before anything is published; in non-strict
@@ -311,74 +225,32 @@ def store_result(key: str, spec: CaseSpec, result: SimResult) -> None:
     is never written to the disk cache, so a wrong counter cannot poison
     later sessions.
     """
-    violations = invariants.verify_result(result, context=spec.label())
+    violations = invariants.verify_result(
+        result, context=spec.member_label(core)
+    )
     _result_cache[key] = result
     if violations:
         return
-    get_disk_cache().put(key, spec.fingerprint(), result)
+    get_disk_cache().put(key, spec.member_fingerprint(core), result)
 
 
-def lookup_cached_multicore(spec: CaseSpec) -> list[SimResult] | None:
-    """Cache lookup for every core of a multi-core case, or None.
-
-    All member keys must hit — the engine cannot resimulate a subset of
-    cores (their timing is coupled through the shared backend), so a
-    partial hit is treated as a miss and the whole socket reruns.
-    """
-    if spec.cores == 1:
-        cached = lookup_cached(spec.key())
-        return None if cached is None else [cached]
-    results = []
-    for core in range(spec.cores):
-        cached = lookup_cached(spec.member_key(core))
-        if cached is None:
-            return None
-        results.append(cached)
-    return results
-
-
-def store_multicore_result(
-    spec: CaseSpec, per_core: list[SimResult]
-) -> None:
-    """Publish each core's result under its member key (invariant-gated,
-    same policy as :func:`store_result`)."""
-    for core, result in enumerate(per_core):
-        key = spec.member_key(core)
-        violations = invariants.verify_result(
-            result, context=f"{spec.label()}[core{core}]"
-        )
-        _result_cache[key] = result
-        if not violations:
-            get_disk_cache().put(key, spec.member_fingerprint(core), result)
-
-
-def run_multicore_spec(
-    spec: CaseSpec, *, use_cache: bool = True
-) -> list[SimResult]:
-    """Resolve one multi-core case through the cache hierarchy."""
-    if use_cache:
-        cached = lookup_cached_multicore(spec)
-        if cached is not None:
-            return cached
-    per_core, _resumed = execute_multicore_checkpointed(
-        spec, ckpt.checkpoint_interval_default()
-    )
-    if use_cache:
-        store_multicore_result(spec, per_core)
-    return per_core
+def publish(job: Job, results: list[SimResult]) -> None:
+    """Store every member result under its own member key."""
+    for (key, spec, core), result in zip(job.members, results):
+        store_result(key, spec, result, core)
 
 
 def run_spec(spec: CaseSpec, *, use_cache: bool = True) -> SimResult:
-    """Resolve one case through the cache hierarchy."""
-    if not use_cache:
-        return execute_spec(spec)
-    key = spec.key()
-    cached = lookup_cached(key)
-    if cached is not None:
-        return cached
-    result = execute_spec(spec)
-    store_result(key, spec, result)
-    return result
+    """Resolve one single-core case through the cache hierarchy."""
+    if use_cache:
+        cached = lookup_cached(spec.key())
+        if cached is not None:
+            return cached
+    job = Job((spec,))
+    results, _resumed = execute_job(job, ckpt.checkpoint_interval_default())
+    if use_cache:
+        publish(job, results)
+    return results[0]
 
 
 def run_case(

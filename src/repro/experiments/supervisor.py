@@ -52,16 +52,9 @@ from pathlib import Path
 
 from repro.core import invariants
 from repro.experiments import runner
-from repro.experiments.cache import TELEMETRY, CaseSpec, FusedGroup
+from repro.experiments.cache import TELEMETRY, CaseSpec, Job
 from repro.pipeline import checkpoint as ckpt
 from repro.pipeline.result import SimResult
-
-#: One supervised unit of work: a single case or a fused timing group.
-#: Groups duck-type the CaseSpec surface the supervisor reads (key/label/
-#: fingerprint/instructions/workload), so deadlines, retries and fault
-#: matching treat them uniformly; only payload validation and publishing
-#: fan back out to the members.
-CaseItem = "CaseSpec | FusedGroup"
 
 #: Environment variable: one deadline (seconds) for every case.
 ENV_CASE_TIMEOUT = "REPRO_CASE_TIMEOUT"
@@ -209,16 +202,14 @@ class FailureReport:
 class SupervisionOutcome:
     """What :func:`run_supervised` resolved and what it gave up on."""
 
+    #: Member key -> result, for every member of every published job.
     results: dict[str, SimResult] = field(default_factory=dict)
+    #: Case key -> report, for every spec of every job given up on.
     failures: dict[str, FailureReport] = field(default_factory=dict)
     retries: int = 0
     timeouts: int = 0
     pool_rebuilds: int = 0
     serial_fallback: bool = False
-    #: Cases that continued from a checkpoint instead of starting over.
-    resumes: int = 0
-    #: Committed instructions those resumes preserved (work not redone).
-    resumed_instructions: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -416,23 +407,18 @@ def get_fault_plan() -> dict | None:
     return _validate_plan(plan, ENV_FAULT_PLAN)
 
 
-def _fault_for(plan: dict | None, spec, attempt: int) -> dict | None:
-    """The fault entry that applies to this (case, attempt), if any.
+def _fault_for(plan: dict | None, job: Job, attempt: int) -> dict | None:
+    """The fault entry that applies to this (job, attempt), if any.
 
-    A fused group matches through its own label/key *or* through any
-    member's, so a plan targeting ``mcf@tiny`` still fires when that case
-    rides inside a fused run.
+    A job matches through its own label/key *or* through any spec's, so a
+    plan targeting ``mcf@tiny`` still fires when that case rides inside a
+    fused run.
     """
     if not plan:
         return None
-    if isinstance(spec, FusedGroup):
-        labels = {spec.label()}
-        labels.update(member.label() for member in spec.specs)
-        keys = [spec.key()]
-        keys.extend(member.key() for member in spec.specs)
-    else:
-        labels = {spec.label()}
-        keys = [spec.key()]
+    labels = {job.label()}
+    labels.update(spec.label() for spec in job.specs)
+    keys = [job.key(), *job.spec_keys]
     for matcher, fault in plan.items():
         if matcher == "*" or matcher in labels or (
             len(matcher) >= 8
@@ -444,25 +430,20 @@ def _fault_for(plan: dict | None, spec, attempt: int) -> dict | None:
 
 
 def _corrupt_payload(payload: dict, style: str):
-    """Damage a result payload the way a buggy worker or transport would.
+    """Damage a job payload the way a buggy worker or transport would.
 
-    A fused payload is damaged in its first member — one bad member must
-    poison the whole group (the group retries as a unit).
+    The first member is damaged — one bad member must poison the whole
+    job (it retries as a unit).
     """
     if style == "garbage":
         return b"\x00not a result payload\x00"
-    damaged = dict(payload)
-    for group_key in ("fused", "cores"):
-        if group_key in damaged:
-            members = [dict(m) for m in damaged[group_key]]
-            members[0] = _corrupt_payload(members[0], style)
-            damaged[group_key] = members
-            return damaged
+    first, *rest = payload["results"]
+    damaged = dict(first)
     if style == "schema":
         damaged["schema"] = -999
     else:  # "cycles": breaks every stack-total identity
         damaged["cycles"] = int(damaged["cycles"]) * 2 + 9973
-    return damaged
+    return {**payload, "results": [damaged, *rest]}
 
 
 def _trigger_fault(fault: dict, *, in_pool: bool) -> None:
@@ -496,7 +477,7 @@ def _truncate_newest_checkpoint(key: str) -> None:
 
 
 def _supervised_worker(
-    spec,
+    job: Job,
     attempt: int,
     plan: dict | None,
     in_pool: bool = True,
@@ -505,23 +486,17 @@ def _supervised_worker(
     """One supervised attempt: inject any planned fault, then simulate.
 
     Runs in a pool worker (the plan travels as an argument so spawn
-    children see it too) or in-process for the serial path.  Ships the
-    result as a ``to_dict`` payload either way, so both paths exercise
-    the same schema-versioned round trip; a resumed run notes its
-    starting progress under the ``"_resumed_from"`` key, which the
-    parent pops before schema validation.  A :class:`FusedGroup` runs as
-    one fused simulation and ships ``{"fused": [payload, ...]}`` with one
-    member payload per spec, in group order; a multi-core case
-    (``spec.cores > 1``) runs as one lockstep engine and ships
-    ``{"cores": [payload, ...]}`` with one payload per core, in core
-    order.
+    children see it too) or in-process for the serial path.  Ships
+    ``{"results": [payload, ...], "resumed_from": n}`` — one
+    ``SimResult.to_dict`` payload per member, in member order — either
+    way, so both paths exercise the same schema-versioned round trip.
     """
-    fault = _fault_for(plan, spec, attempt)
+    fault = _fault_for(plan, job, attempt)
     on_checkpoint = None
     if fault is not None:
         kind = fault.get("kind")
         if kind == "truncate_checkpoint":
-            _truncate_newest_checkpoint(spec.key())
+            _truncate_newest_checkpoint(job.key())
         elif kind == "sigkill_mid_case":
             if not checkpoint_interval:
                 # No checkpoint will ever land: die immediately so the
@@ -544,23 +519,13 @@ def _supervised_worker(
                     )
         else:
             _trigger_fault(fault, in_pool=in_pool)
-    if isinstance(spec, FusedGroup):
-        results, resumed = runner.execute_fused_checkpointed(
-            spec, checkpoint_interval, on_checkpoint
-        )
-        payload: dict = {"fused": [r.to_dict() for r in results]}
-    elif getattr(spec, "cores", 1) > 1:
-        results, resumed = runner.execute_multicore_checkpointed(
-            spec, checkpoint_interval, on_checkpoint
-        )
-        payload = {"cores": [r.to_dict() for r in results]}
-    else:
-        result, resumed = runner.execute_spec_checkpointed(
-            spec, checkpoint_interval, on_checkpoint
-        )
-        payload = result.to_dict()
-    if resumed is not None:
-        payload["_resumed_from"] = resumed
+    results, resumed = runner.execute_job(
+        job, checkpoint_interval, on_checkpoint
+    )
+    payload = {
+        "results": [result.to_dict() for result in results],
+        "resumed_from": resumed,
+    }
     if fault is not None and fault.get("kind") == "corrupt":
         payload = _corrupt_payload(payload, fault.get("style", "cycles"))
     return payload
@@ -598,13 +563,12 @@ def resolve_case_timeout(explicit: float | None = None) -> float | None:
     return None
 
 
-def case_deadline(spec, override: float | None = None) -> float:
+def case_deadline(spec: CaseSpec, override: float | None = None) -> float:
     """Seconds this case may run: override, else scaled from its size.
 
-    A fused group gets the same scaled deadline as any of its members:
-    every member shares one timing, and the attached collectors cost
-    O(1) per cycle, so the group's wall clock is one member's — that is
-    the entire point of fusion.
+    A job gets its first spec's deadline: every spec shares one timing,
+    and the attached collectors cost O(1) per cycle, so the job's wall
+    clock is one member's — that is the entire point of fusion.
     """
     if override is not None:
         return override
@@ -651,104 +615,38 @@ def _call_with_deadline(fn, deadline: float | None):
 # the supervisor
 
 
-def validate_payload(payload, spec: CaseSpec) -> SimResult:
-    """Decode and guard a worker payload (shared by pool and serial paths).
+def decode_payload(
+    job: Job, payload
+) -> tuple[list[SimResult], int | None]:
+    """Decode and guard a worker payload (shared by pool and serial paths):
+    ``(results in member order, resumed_from)``.
 
-    Raises :class:`CorruptPayload` when the payload cannot be decoded and
-    :class:`repro.core.invariants.InvariantViolation` when the decoded
-    result breaks the accounting identities in strict mode.
+    Raises :class:`CorruptPayload` when the payload does not hold one
+    decodable result per member, and
+    :class:`repro.core.invariants.InvariantViolation` when any member
+    breaks the accounting identities in strict mode — one broken member
+    fails the whole job, which retries as a unit.
     """
-    if not isinstance(payload, dict):
+    members = payload.get("results") if isinstance(payload, dict) else None
+    if not isinstance(members, list):
         raise CorruptPayload(
-            f"worker returned {type(payload).__name__}, not a result payload"
+            f"worker returned {type(payload).__name__}, not a job payload"
         )
-    try:
-        result = SimResult.from_dict(payload)
-    except Exception as exc:
-        raise CorruptPayload(f"undecodable result payload: {exc}") from exc
-    invariants.verify_result(result, context=spec.label())
-    return result
-
-
-def validate_group_payload(
-    payload, group: FusedGroup
-) -> list[SimResult]:
-    """Decode and guard a fused-run payload: one result per member.
-
-    Every member result is decoded and invariant-checked independently
-    under its own label — one broken collector's stack fails the whole
-    group (it retries as a unit), exactly as a lone bad case would fail
-    itself.
-    """
-    if not isinstance(payload, dict) or not isinstance(
-        payload.get("fused"), list
-    ):
+    if len(members) != len(job.members):
         raise CorruptPayload(
-            f"worker returned {type(payload).__name__}, not a fused "
-            "result payload"
-        )
-    members = payload["fused"]
-    if len(members) != len(group.specs):
-        raise CorruptPayload(
-            f"fused payload has {len(members)} member results for "
-            f"{len(group.specs)} specs"
-        )
-    return [
-        validate_payload(member, spec)
-        for spec, member in zip(group.specs, members)
-    ]
-
-
-def validate_multicore_payload(
-    payload, spec: CaseSpec
-) -> list[SimResult]:
-    """Decode and guard a multi-core payload: one result per core.
-
-    Each core's result is decoded and invariant-checked independently
-    under a ``[coreN]`` context — one core's broken accounting fails the
-    whole socket (the engine retries as a unit; per-core timings are
-    coupled through the shared backend and cannot be recomputed alone).
-    """
-    if not isinstance(payload, dict) or not isinstance(
-        payload.get("cores"), list
-    ):
-        raise CorruptPayload(
-            f"worker returned {type(payload).__name__}, not a multi-core "
-            "result payload"
-        )
-    members = payload["cores"]
-    if len(members) != spec.cores:
-        raise CorruptPayload(
-            f"multi-core payload has {len(members)} core results for "
-            f"{spec.cores} cores"
+            f"payload has {len(members)} results for "
+            f"{len(job.members)} members"
         )
     results = []
-    for core, member in enumerate(members):
-        if not isinstance(member, dict):
-            raise CorruptPayload(
-                f"core {core} payload is {type(member).__name__}, not a "
-                "result payload"
-            )
+    for index, member in enumerate(members):
         try:
-            result = SimResult.from_dict(member)
+            results.append(SimResult.from_dict(member))
         except Exception as exc:
             raise CorruptPayload(
-                f"undecodable core {core} payload: {exc}"
+                f"undecodable result payload for member {index}: {exc}"
             ) from exc
-        invariants.verify_result(
-            result, context=f"{spec.label()}[core{core}]"
-        )
-        results.append(result)
-    return results
-
-
-def _validate(payload, spec):
-    """Route a payload to case, group or multi-core validation."""
-    if isinstance(spec, FusedGroup):
-        return validate_group_payload(payload, spec)
-    if getattr(spec, "cores", 1) > 1:
-        return validate_multicore_payload(payload, spec)
-    return validate_payload(payload, spec)
+    runner.verify_members(job, results)
+    return results, payload.get("resumed_from")
 
 
 def _format_error(exc: BaseException) -> str:
@@ -757,255 +655,171 @@ def _format_error(exc: BaseException) -> str:
     return "".join(lines).strip()[:2000]
 
 
-def _record(
-    attempts: dict[str, list[Attempt]],
-    key: str,
-    classification: str,
-    error: str,
-    started: float,
-    executor: str,
-) -> None:
-    history = attempts[key]
-    history.append(
-        Attempt(
-            attempt=len(history),
-            classification=classification,
-            error=error,
-            elapsed_seconds=time.perf_counter() - started,
-            executor=executor,
-        )
-    )
+def _classify(exc: Exception, deadline: float) -> tuple[str, str]:
+    """(classification, error text) of one failed attempt."""
+    if isinstance(exc, (FutureTimeout, TimeoutError)):
+        return "timeout", f"no result within the {deadline:.1f}s deadline"
+    if isinstance(exc, BrokenProcessPool):
+        # A worker died hard; every uncollected future of its pool
+        # raises the same thing.
+        return "crash", f"worker pool broke: {exc}"
+    if isinstance(exc, invariants.InvariantViolation):
+        return "invariant", _format_error(exc)
+    if isinstance(exc, CorruptPayload):
+        return "corrupt-payload", _format_error(exc)
+    return "crash", _format_error(exc)
 
 
-def _publish(
-    outcome: SupervisionOutcome,
-    key: str,
-    spec,
-    result,
-    use_cache: bool,
-) -> None:
-    """Publish a validated result (or, for a group, every member's).
-
-    A fused group's members each land in the cache and the outcome under
-    their *own* case key — a fused batch populates exactly the same cache
-    entries an unfused one would.  The group's checkpoints (stored under
-    the group key) are cleared only after every member is published.
-    """
-    if isinstance(spec, FusedGroup):
-        for member, member_result in zip(spec.specs, result):
-            member_key = member.key()
-            if use_cache:
-                runner.store_result(member_key, member, member_result)
-            outcome.results[member_key] = member_result
-            discard_failure(member_key)
-        ckpt.clear_checkpoints(key)
-        return
-    if getattr(spec, "cores", 1) > 1:
-        # Per-core results land in the cache under their member keys; the
-        # outcome maps the socket key to the whole per-core list.
-        if use_cache:
-            runner.store_multicore_result(spec, result)
-        outcome.results[key] = result
-        discard_failure(key)
-        ckpt.clear_checkpoints(key)
-        return
-    if use_cache:
-        runner.store_result(key, spec, result)
-    outcome.results[key] = result
-    discard_failure(key)
-    # Only after the result is safely published do the case's checkpoints
-    # become dead weight; clearing earlier would lose the recovery point
-    # for a crash between finish and publish.
-    ckpt.clear_checkpoints(key)
-
-
-def _pop_resumed(payload) -> int | None:
-    """Extract a worker's resume marker before schema validation."""
-    if isinstance(payload, dict):
-        resumed = payload.pop("_resumed_from", None)
-        if resumed is not None:
-            return int(resumed)
-    return None
-
-
-def _pool_round(
-    pending: list,
-    *,
-    jobs: int,
-    mp_start_method: str | None,
-    plan: dict | None,
-    attempts: dict[str, list[Attempt]],
-    outcome: SupervisionOutcome,
-    timeout_override: float | None,
-    use_cache: bool,
-    checkpoint_interval: int | None = None,
-    resumed: dict[str, int] | None = None,
-) -> tuple[list[tuple[str, CaseSpec]], bool]:
-    """One pool pass over ``pending``; returns (retry list, pool broke)."""
-    context = None
-    if mp_start_method is not None:
-        context = multiprocessing.get_context(mp_start_method)
-    pool = ProcessPoolExecutor(
-        max_workers=min(jobs, len(pending)), mp_context=context
-    )
-    retry: list = []
-    broke = False
+def _pool_result(future, deadline: float):
+    """A pool attempt's payload; a future past its deadline is cancelled."""
     try:
-        submitted = [
-            (
-                key,
-                spec,
-                pool.submit(
-                    _supervised_worker, spec, len(attempts[key]), plan,
-                    True, checkpoint_interval,
-                ),
-            )
-            for key, spec in pending
-        ]
-        # Deterministic collection: submission order, not completion order.
-        for key, spec, future in submitted:
-            started = time.perf_counter()
-            deadline = case_deadline(spec, timeout_override)
-            try:
-                payload = future.result(timeout=deadline)
-                case_resumed = _pop_resumed(payload)
-                result = _validate(payload, spec)
-            except (FutureTimeout, TimeoutError):
-                future.cancel()
-                outcome.timeouts += 1
-                _record(
-                    attempts, key, "timeout",
-                    f"no result within the {deadline:.1f}s deadline",
-                    started, "pool",
-                )
-                retry.append((key, spec))
-            except BrokenProcessPool as exc:
-                # A worker died hard.  Every uncollected future of this
-                # pool is about to raise the same thing; record and retry
-                # them all in a rebuilt pool (or serially, if this keeps
-                # happening).
-                broke = True
-                _record(
-                    attempts, key, "crash",
-                    f"worker pool broke: {exc}", started, "pool",
-                )
-                retry.append((key, spec))
-            except invariants.InvariantViolation as exc:
-                _record(
-                    attempts, key, "invariant", _format_error(exc),
-                    started, "pool",
-                )
-                retry.append((key, spec))
-            except CorruptPayload as exc:
-                _record(
-                    attempts, key, "corrupt-payload", _format_error(exc),
-                    started, "pool",
-                )
-                retry.append((key, spec))
-            except Exception as exc:  # worker raised: a crash
-                _record(
-                    attempts, key, "crash", _format_error(exc),
-                    started, "pool",
-                )
-                retry.append((key, spec))
-            else:
-                # One record per actual pipeline run: a fused group or a
-                # multi-core engine is a single simulator invocation
-                # however many members/cores ride along (the workers'
-                # telemetry died with the workers).
-                TELEMETRY.record_simulation(
-                    spec.label(),
-                    result[0] if isinstance(result, list) else result,
-                )
-                if case_resumed is not None:
-                    # The worker's telemetry died with the worker; the
-                    # parent re-records the resume, like the simulation.
-                    TELEMETRY.record_resume(case_resumed)
-                    outcome.resumes += 1
-                    outcome.resumed_instructions += case_resumed
-                    if resumed is not None:
-                        resumed[key] = case_resumed
-                _publish(outcome, key, spec, result, use_cache)
-    except KeyboardInterrupt:
-        # Ctrl-C: cancel everything still queued and reap the pool so no
-        # orphan workers keep simulating a batch nobody will collect.
-        pool.shutdown(wait=False, cancel_futures=True)
+        return future.result(timeout=deadline)
+    except FutureTimeout:
+        future.cancel()
         raise
-    pool.shutdown(wait=False, cancel_futures=True)
-    return retry, broke
 
 
-def _serial_round(
-    pending: list,
-    *,
-    plan: dict | None,
-    attempts: dict[str, list[Attempt]],
-    outcome: SupervisionOutcome,
-    timeout_override: float | None,
-    use_cache: bool,
-    checkpoint_interval: int | None = None,
-    resumed: dict[str, int] | None = None,
-) -> list[tuple[str, CaseSpec]]:
-    """One in-process pass over ``pending``; returns the retry list.
+@dataclass
+class _Supervision:
+    """Per-batch state shared by every round of :func:`run_supervised`."""
 
-    ``execute_spec_checkpointed`` records telemetry in-process, so
-    unlike the pool path nothing is re-recorded here.
-    """
-    retry: list = []
-    for key, spec in pending:
+    plan: dict | None
+    use_cache: bool
+    timeout_override: float | None
+    checkpoint_interval: int | None
+    outcome: SupervisionOutcome = field(default_factory=SupervisionOutcome)
+    #: Job key -> attempt history.
+    attempts: dict[str, list[Attempt]] = field(default_factory=dict)
+
+    def settle(self, job: Job, fetch, executor: str) -> Exception | None:
+        """Collect one attempt of ``job``: ``fetch(deadline)`` yields its
+        payload.  On success every member is validated and published;
+        otherwise the failure is recorded and returned.
+        """
         started = time.perf_counter()
-        deadline = case_deadline(spec, timeout_override)
-        attempt_no = len(attempts[key])
+        deadline = case_deadline(job.specs[0], self.timeout_override)
+        key = job.key()
+        history = self.attempts.setdefault(key, [])
         try:
-            payload = _call_with_deadline(
-                lambda s=spec, a=attempt_no: _supervised_worker(
-                    s, a, plan, in_pool=False,
-                    checkpoint_interval=checkpoint_interval,
-                ),
-                deadline,
-            )
-            case_resumed = _pop_resumed(payload)
-            result = _validate(payload, spec)
-        except (FutureTimeout, TimeoutError):
-            outcome.timeouts += 1
-            _record(
-                attempts, key, "timeout",
-                f"no result within the {deadline:.1f}s deadline",
-                started, "serial",
-            )
-            retry.append((key, spec))
-        except invariants.InvariantViolation as exc:
-            _record(
-                attempts, key, "invariant", _format_error(exc),
-                started, "serial",
-            )
-            retry.append((key, spec))
-        except CorruptPayload as exc:
-            _record(
-                attempts, key, "corrupt-payload", _format_error(exc),
-                started, "serial",
-            )
-            retry.append((key, spec))
-        except KeyboardInterrupt:
-            raise
+            results, resumed = decode_payload(job, fetch(deadline))
         except Exception as exc:
-            _record(
-                attempts, key, "crash", _format_error(exc),
-                started, "serial",
+            classification, error = _classify(exc, deadline)
+            if classification == "timeout":
+                self.outcome.timeouts += 1
+            history.append(
+                Attempt(
+                    attempt=len(history),
+                    classification=classification,
+                    error=error,
+                    elapsed_seconds=time.perf_counter() - started,
+                    executor=executor,
+                )
             )
-            retry.append((key, spec))
-        else:
-            if case_resumed is not None:
-                outcome.resumes += 1
-                outcome.resumed_instructions += case_resumed
-                if resumed is not None:
-                    resumed[key] = case_resumed
-            _publish(outcome, key, spec, result, use_cache)
-    return retry
+            return exc
+        if executor == "pool":
+            # The worker's telemetry died with the worker; the parent
+            # re-records the run (and any resume) once per job.
+            TELEMETRY.record_job(job, results, resumed)
+        if self.use_cache:
+            runner.publish(job, results)
+        for (member_key, _spec, _core), result in zip(job.members, results):
+            self.outcome.results[member_key] = result
+        for spec_key in job.spec_keys:
+            discard_failure(spec_key)
+        # Only after every member is safely published do the job's
+        # checkpoints become dead weight; clearing earlier would lose the
+        # recovery point for a crash between finish and publish.
+        ckpt.clear_checkpoints(key)
+        return None
+
+    def pool_round(
+        self, pending: list[Job], jobs: int, mp_start_method: str | None
+    ) -> tuple[list[Job], bool]:
+        """One pool pass over ``pending``; returns (retry list, pool broke)."""
+        context = None
+        if mp_start_method is not None:
+            context = multiprocessing.get_context(mp_start_method)
+        pool = ProcessPoolExecutor(
+            max_workers=min(jobs, len(pending)), mp_context=context
+        )
+        retry: list[Job] = []
+        broke = False
+        try:
+            submitted = [
+                (
+                    job,
+                    pool.submit(
+                        _supervised_worker, job, self._attempt_no(job),
+                        self.plan, True, self.checkpoint_interval,
+                    ),
+                )
+                for job in pending
+            ]
+            # Deterministic collection: submission order, not completion
+            # order.
+            for job, future in submitted:
+                failure = self.settle(
+                    job,
+                    lambda deadline, f=future: _pool_result(f, deadline),
+                    "pool",
+                )
+                if failure is not None:
+                    # A broken pool is retried in a rebuilt pool (or
+                    # serially, if this keeps happening).
+                    broke = broke or isinstance(failure, BrokenProcessPool)
+                    retry.append(job)
+        except KeyboardInterrupt:
+            # Ctrl-C: cancel everything still queued and reap the pool so
+            # no orphan workers keep simulating a batch nobody collects.
+            pool.shutdown(wait=False, cancel_futures=True)
+            raise
+        pool.shutdown(wait=False, cancel_futures=True)
+        return retry, broke
+
+    def serial_round(self, pending: list[Job]) -> list[Job]:
+        """One in-process pass over ``pending``; returns the retry list."""
+        retry: list[Job] = []
+        for job in pending:
+            attempt = self._attempt_no(job)
+            failure = self.settle(
+                job,
+                lambda deadline: _call_with_deadline(
+                    lambda: _supervised_worker(
+                        job, attempt, self.plan, in_pool=False,
+                        checkpoint_interval=self.checkpoint_interval,
+                    ),
+                    deadline,
+                ),
+                "serial",
+            )
+            if failure is not None:
+                retry.append(job)
+        return retry
+
+    def _attempt_no(self, job: Job) -> int:
+        return len(self.attempts.get(job.key(), ()))
+
+    def give_up(self, job: Job) -> None:
+        """Persist one failure report per spec of a job out of attempts."""
+        key = job.key()
+        history = self.attempts[key]
+        # How far checkpoints provably got this job.
+        progress = ckpt.newest_progress(key)
+        for spec, spec_key in zip(job.specs, job.spec_keys):
+            report = FailureReport(
+                key=spec_key,
+                label=spec.label(),
+                classification=history[-1].classification,
+                attempts=list(history),
+                spec=spec.fingerprint(),
+                resumed_from=progress,
+            )
+            self.outcome.failures[report.key] = report
+            save_failure(report)
 
 
 def run_supervised(
-    items: list,
+    batch: list[Job],
     *,
     jobs: int,
     mp_start_method: str | None = None,
@@ -1015,24 +829,21 @@ def run_supervised(
     retry_backoff: float | None = None,
     checkpoint_interval: int | None = None,
 ) -> SupervisionOutcome:
-    """Resolve ``(key, spec)`` cases under supervision.
+    """Resolve a batch of :class:`Job` items under supervision.
 
-    Returns a :class:`SupervisionOutcome` with one result or one
-    persisted :class:`FailureReport` per input key — never an exception
-    for an individual case failure (``KeyboardInterrupt`` excepted).
-
-    An item's spec may be a :class:`FusedGroup`: the group is attempted,
-    timed out and retried as one unit under its group key, but its
-    members' results are published under their own case keys, and a
-    given-up group persists one failure report per member (each member's
-    key is what a later targeted rerun would look up).
+    Returns a :class:`SupervisionOutcome` with every member's result or,
+    for a job given up on, one persisted :class:`FailureReport` per spec
+    (each spec's case key is what a later targeted rerun would look up)
+    — never an exception for an individual job failure
+    (``KeyboardInterrupt`` excepted).  A job is attempted, timed out and
+    retried as one unit under its job key.
 
     With checkpointing active (``checkpoint_interval=`` argument, else
-    ``$REPRO_CHECKPOINT_INTERVAL``), a retried case resumes from the
+    ``$REPRO_CHECKPOINT_INTERVAL``), a retried job resumes from the
     newest valid checkpoint its dead predecessor left behind instead of
-    starting over; checkpoints are cleared once the case's result is
-    published, and a case given up on records its preserved progress in
-    its :class:`FailureReport`.
+    starting over; checkpoints are cleared once the job's results are
+    published, and a job given up on records its preserved progress in
+    its reports.
     """
     plan = get_fault_plan()
     if max_attempts is None:
@@ -1043,13 +854,16 @@ def run_supervised(
     backoff = DEFAULT_BACKOFF if retry_backoff is None else retry_backoff
     if checkpoint_interval is None:
         checkpoint_interval = ckpt.checkpoint_interval_default()
-
-    outcome = SupervisionOutcome()
-    attempts: dict[str, list[Attempt]] = {key: [] for key, _ in items}
-    resumed: dict[str, int] = {}
-    pending = list(items)
+    state = _Supervision(
+        plan=plan,
+        use_cache=use_cache,
+        timeout_override=timeout_override,
+        checkpoint_interval=checkpoint_interval,
+    )
+    outcome = state.outcome
+    pending = list(batch)
     pool_breaks = 0
-    prefer_serial = jobs <= 1 or len(items) == 1
+    prefer_serial = jobs <= 1 or len(batch) == 1
     round_no = 0
     while pending:
         if round_no and backoff > 0:
@@ -1058,46 +872,19 @@ def run_supervised(
         if prefer_serial or degraded:
             if degraded and not prefer_serial:
                 outcome.serial_fallback = True
-            retry = _serial_round(
-                pending, plan=plan, attempts=attempts, outcome=outcome,
-                timeout_override=timeout_override, use_cache=use_cache,
-                checkpoint_interval=checkpoint_interval, resumed=resumed,
-            )
+            retry = state.serial_round(pending)
         else:
-            retry, broke = _pool_round(
-                pending, jobs=jobs, mp_start_method=mp_start_method,
-                plan=plan, attempts=attempts, outcome=outcome,
-                timeout_override=timeout_override, use_cache=use_cache,
-                checkpoint_interval=checkpoint_interval, resumed=resumed,
-            )
+            retry, broke = state.pool_round(pending, jobs, mp_start_method)
             if broke:
                 pool_breaks += 1
                 if pool_breaks < POOL_BREAK_LIMIT:
                     outcome.pool_rebuilds += 1
-        next_pending: list = []
-        for key, spec in retry:
-            if len(attempts[key]) >= max_attempts:
-                # How far checkpoints provably got this case: the last
-                # observed resume, else the newest surviving file.
-                progress = resumed.get(key, ckpt.newest_progress(key))
-                members = (
-                    spec.specs if isinstance(spec, FusedGroup) else (spec,)
-                )
-                for member in members:
-                    member_key = member.key() if member is not spec else key
-                    report = FailureReport(
-                        key=member_key,
-                        label=member.label(),
-                        classification=attempts[key][-1].classification,
-                        attempts=list(attempts[key]),
-                        spec=member.fingerprint(),
-                        resumed_from=progress,
-                    )
-                    outcome.failures[member_key] = report
-                    save_failure(report)
+        pending = []
+        for job in retry:
+            if len(state.attempts[job.key()]) >= max_attempts:
+                state.give_up(job)
             else:
-                next_pending.append((key, spec))
+                pending.append(job)
                 outcome.retries += 1
-        pending = next_pending
         round_no += 1
     return outcome

@@ -15,7 +15,7 @@ import pickle
 import pytest
 
 from repro.experiments.cache import TELEMETRY, CaseSpec, DiskCache
-from repro.experiments.runner import clear_cache, execute_spec
+from repro.experiments.runner import clear_cache, run_spec
 
 N = 1500
 
@@ -31,7 +31,7 @@ def _fresh_harness():
 
 def _case():
     spec = CaseSpec(workload="exchange2", preset="tiny", instructions=N)
-    return spec, execute_spec(spec)
+    return spec, run_spec(spec, use_cache=False)
 
 
 def _hammer_writer(root, key, fingerprint, payload, rounds, errors):

@@ -30,7 +30,7 @@ import pytest
 from repro.config.presets import broadwell, knights_landing
 from repro.core.wrongpath import WrongPathMode
 from repro.experiments import parallel, runner, supervisor
-from repro.experiments.cache import TELEMETRY, CaseSpec
+from repro.experiments.cache import TELEMETRY, CaseSpec, Job
 from repro.experiments.parallel import run_cases
 from repro.experiments.runner import clear_cache, lookup_cached
 from repro.pipeline import checkpoint as ckpt
@@ -378,30 +378,30 @@ def _seed_checkpoints(spec: CaseSpec, *, count: int = 1,
             raise _StopSeeding
 
     with pytest.raises(_StopSeeding):
-        runner.execute_spec_checkpointed(spec, interval, hook)
+        runner.execute_job(Job((spec,)), interval, hook)
     files = ckpt.list_case_checkpoints(spec.key())
     assert len(files) >= count
     return files
 
 
-def test_execute_spec_checkpointed_resumes_from_disk():
+def test_execute_job_resumes_from_disk():
     spec = _spec()
-    clean = runner.execute_spec(spec)
+    clean = runner.run_spec(spec, use_cache=False)
     ckpt.clear_checkpoints(spec.key())
     TELEMETRY.reset()
 
     _seed_checkpoints(spec, count=1)
     TELEMETRY.reset()
-    result, resumed_from = runner.execute_spec_checkpointed(spec, 400)
+    (result,), resumed_from = runner.execute_job(Job((spec,)), 400)
     assert resumed_from is not None and resumed_from >= 400
     assert _comparable(result) == _comparable(clean)
     assert TELEMETRY.resume_events == 1
     assert TELEMETRY.resumed_instructions == resumed_from
 
 
-def test_execute_spec_without_interval_never_touches_the_store():
+def test_execute_job_without_interval_never_touches_the_store():
     spec = _spec()
-    result, resumed_from = runner.execute_spec_checkpointed(spec, None)
+    (result,), resumed_from = runner.execute_job(Job((spec,)), None)
     assert resumed_from is None
     assert ckpt.list_case_checkpoints(spec.key()) == []
     assert TELEMETRY.resume_events == 0

@@ -18,7 +18,8 @@ guarantees pinned here:
   (warm reruns need zero simulator invocations), and the pre-existing
   cache keys of default-accounting cases are unchanged;
 * the batch summary line and telemetry report fused groups / runs saved;
-* ``FusedGroup`` construction rejects malformed memberships.
+* ``Job`` construction rejects malformed memberships;
+* K specs x N cores fuse too: a socket's collectors ride one engine run.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ import pytest
 from repro.config.idealize import PERFECT_DCACHE
 from repro.core.wrongpath import WrongPathMode
 from repro.experiments import runner, supervisor
-from repro.experiments.cache import TELEMETRY, CaseSpec, FusedGroup
-from repro.experiments.parallel import run_cases
+from repro.experiments.cache import TELEMETRY, CaseSpec, Job
+from repro.experiments.parallel import run_cases, run_multicore_cases
 from repro.pipeline import checkpoint as ckpt
 
 N = 2500
@@ -74,6 +75,7 @@ def _variant_specs(
     *,
     mode: WrongPathMode = WrongPathMode.EXACT,
     warmup_fraction: float = 0.0,
+    cores: int = 1,
 ) -> list[CaseSpec]:
     """One timing, four accounting configurations."""
     base = dict(
@@ -82,6 +84,7 @@ def _variant_specs(
         instructions=N,
         mode=mode,
         warmup_fraction=warmup_fraction,
+        cores=cores,
     )
     return [
         CaseSpec(**base),
@@ -92,10 +95,29 @@ def _variant_specs(
 
 
 def _run_both_ways(specs: list[CaseSpec], **kwargs) -> tuple[list, list]:
-    """Run the same batch unfused then fused, cache-free, serially."""
+    """Run the same batch unfused then fused, cache-free, serially
+    (telemetry then counts the fused run only)."""
     unfused = run_cases(specs, jobs=1, use_cache=False, fuse=False, **kwargs)
     runner.clear_cache()
+    TELEMETRY.reset()
     fused = run_cases(specs, jobs=1, use_cache=False, fuse=True, **kwargs)
+    return unfused, fused
+
+
+def _socket_specs() -> list[CaseSpec]:
+    """A 2-core socket timing with default and topdown collectors."""
+    return _variant_specs("conv-vgg-2-fwd", cores=2)[:2]
+
+
+def _run_sockets_both_ways(monkeypatch, specs) -> tuple[list, list]:
+    """Run the same sockets unfused (``REPRO_FUSE=0``) then fused,
+    serially, through the cache (telemetry counts the fused run only)."""
+    monkeypatch.setenv("REPRO_FUSE", "0")
+    unfused = run_multicore_cases(specs, jobs=1)
+    runner.clear_cache()
+    TELEMETRY.reset()
+    monkeypatch.delenv("REPRO_FUSE")
+    fused = run_multicore_cases(specs, jobs=1)
     return unfused, fused
 
 
@@ -114,14 +136,40 @@ def test_fused_matches_unfused_across_modes_and_warmup(mode, warmup):
 
 
 @pytest.mark.parametrize(
-    "workload, preset",
-    [("chase", "tiny"), ("exchange2", "bdw"), ("spin", "knl")],
+    "workload, preset, cores",
+    [
+        ("chase", "tiny", 1),
+        ("exchange2", "bdw", 1),
+        ("spin", "knl", 1),
+        ("conv-vgg-2-fwd", "tiny", 2),
+    ],
 )
-def test_fused_matches_unfused_across_machines(workload, preset):
-    specs = _variant_specs(workload, preset)
-    unfused, fused = _run_both_ways(specs)
+def test_fused_matches_unfused_across_machines(
+    monkeypatch, workload, preset, cores
+):
+    if cores > 1:
+        # K specs x N cores: one engine run carries the default and
+        # topdown collectors on every core; each member lands under its
+        # own member key.
+        specs = _variant_specs(workload, preset, cores=cores)[:2]
+        unfused, fused = _run_sockets_both_ways(monkeypatch, specs)
+        for spec, per_core in zip(specs, fused):
+            for core, result in enumerate(per_core):
+                cached = runner.get_disk_cache().get(spec.member_key(core))
+                assert cached is not None, spec.member_label(core)
+                assert _comparable(cached) == _comparable(result)
+    else:
+        specs = _variant_specs(workload, preset)
+        unfused, fused = _run_both_ways(specs)
+        unfused = [[r] for r in unfused]
+        fused = [[r] for r in fused]
+    assert TELEMETRY.sim_invocations == 1, "one pipeline run per timing"
     for spec, a, b in zip(specs, unfused, fused):
-        assert _comparable(a) == _comparable(b), spec.label()
+        assert len(b) == spec.cores
+        for core in range(spec.cores):
+            assert _comparable(a[core]) == _comparable(b[core]), (
+                spec.member_label(core)
+            )
 
 
 @pytest.mark.parametrize(
@@ -251,37 +299,50 @@ class _Interrupted(Exception):
     """Raised by the checkpoint hook to kill a fused run mid-flight."""
 
 
-def test_fused_checkpoint_resume_restores_all_collectors():
-    group = FusedGroup(specs=tuple(_variant_specs()))
-    clean, resumed_from = runner.execute_fused_checkpointed(group, None)
+@pytest.mark.parametrize(
+    "make_specs, interval",
+    [(_variant_specs, 600), pytest.param(_socket_specs, 1500, id="socket")],
+)
+def test_fused_checkpoint_resume_restores_all_collectors(
+    make_specs, interval
+):
+    job = Job(specs=tuple(make_specs()))
+    clean, resumed_from = runner.execute_job(job, None)
     assert resumed_from is None
 
-    ckpt.clear_checkpoints(group.key())
+    ckpt.clear_checkpoints(job.key())
 
     def hook(path, instrs):
         raise _Interrupted
 
     with pytest.raises(_Interrupted):
-        runner.execute_fused_checkpointed(group, 600, on_checkpoint=hook)
-    assert ckpt.list_case_checkpoints(group.key()), (
+        runner.execute_job(job, interval, on_checkpoint=hook)
+    assert ckpt.list_case_checkpoints(job.key()), (
         "the interrupted fused run never wrote a checkpoint"
     )
-    recovered, resumed_from = runner.execute_fused_checkpointed(group, 600)
+    recovered, resumed_from = runner.execute_job(job, interval)
     assert resumed_from is not None and resumed_from > 0
-    assert len(recovered) == len(group.specs)
-    for spec, a, b in zip(group.specs, clean, recovered):
-        assert _comparable(a) == _comparable(b), spec.label()
-    ckpt.clear_checkpoints(group.key())
+    assert len(recovered) == len(job.members)
+    for (_key, spec, core), a, b in zip(job.members, clean, recovered):
+        assert _comparable(a) == _comparable(b), spec.member_label(core)
+    ckpt.clear_checkpoints(job.key())
 
 
 def test_fused_checkpoint_lives_under_group_key():
     """A fused checkpoint must never be resumable by a member alone (or
-    vice versa): the group key is derived from all member keys."""
-    group = FusedGroup(specs=tuple(_variant_specs()))
-    member_keys = {spec.key() for spec in group.specs}
-    assert group.key() not in member_keys
-    smaller = FusedGroup(specs=group.specs[:2])
-    assert smaller.key() != group.key()
+    vice versa): the job key is derived from all member keys."""
+    job = Job(specs=tuple(_variant_specs()))
+    member_keys = {spec.key() for spec in job.specs}
+    assert job.key() not in member_keys
+    smaller = Job(specs=job.specs[:2])
+    assert smaller.key() != job.key()
+    # Literal pin: existing fused-run checkpoints are stored under this
+    # name.
+    default, topdown = _variant_specs(warmup_fraction=0.3)[:2]
+    assert Job(specs=(default, topdown)).key() == (
+        "3378281e5cad78abf754d3ea737f937123d275274a01519c52c2ba8f46b0e32a"
+    )
+    assert Job(specs=(default,)).key() == default.key()
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +371,22 @@ def test_variant_keys_discriminate_but_share_timing():
     assert other.timing_key() not in timings
     assert topdown.label().endswith("#td")
     assert noacc.label().endswith("#noacc")
+    # Literal pins: a uniform drift of every key would pass the
+    # relational checks above and orphan every existing cache entry.
+    default, topdown = _variant_specs(warmup_fraction=0.3)[:2]
+    ideal = CaseSpec(
+        workload="mcf", preset="tiny", instructions=N,
+        idealization=PERFECT_DCACHE,
+    )
+    assert default.key() == (
+        "f29049a83593819a4bf2722e285484b61ad26279080bd417496854752ce139ba"
+    )
+    assert ideal.key() == (
+        "59de8270af5ed54b4e45a4678cd87f96a7538004e8a27b1f361e23df0f9c56ef"
+    )
+    assert topdown.key() == (
+        "37aa93539931630e17fdcaab97909ed4b454b670d33073361b14de6bd531d87f"
+    )
 
 
 def test_fused_members_published_under_own_keys():
@@ -337,18 +414,31 @@ def test_unfused_env_escape_hatch(monkeypatch):
     assert TELEMETRY.fused_groups == 0
 
 
-def test_summary_line_reports_fusion():
+@pytest.mark.parametrize("cores", [1, 2])
+def test_summary_line_reports_fusion(cores):
     from repro.experiments import parallel
 
-    specs = _variant_specs()
-    run_cases(specs, jobs=1, use_cache=False, fuse=True)
+    if cores == 1:
+        specs = _variant_specs()
+        per_core = run_cases(specs, jobs=1, use_cache=False, fuse=True)[:1]
+    else:
+        specs = _socket_specs()
+        per_core = run_multicore_cases(specs, jobs=1, use_cache=False)[0]
+    saved = len(specs) - 1
     batch = parallel.LAST_BATCH
     assert batch is not None
     assert batch.fused_groups == 1
-    assert batch.fused_runs_saved == len(specs) - 1
-    assert "1 fused groups (3 runs saved)" in batch.summary()
+    assert batch.fused_runs_saved == saved
+    assert f"1 fused groups ({saved} runs saved)" in batch.summary()
     assert TELEMETRY.counters()["fused_groups"] == 1
-    assert TELEMETRY.counters()["fused_runs_saved"] == 3
+    assert TELEMETRY.counters()["fused_runs_saved"] == saved
+    # One timing run, counted once: its whole-run instructions summed
+    # over every core, however many collectors rode along.
+    assert batch.simulated == 1
+    assert batch.instrs_simulated == sum(
+        r.committed_instrs for r in per_core
+    )
+    assert "kinstr/s" in batch.summary()
 
 
 # ---------------------------------------------------------------------------
@@ -356,25 +446,26 @@ def test_summary_line_reports_fusion():
 # ---------------------------------------------------------------------------
 
 
-def test_fused_group_rejects_malformed_membership():
+def test_job_rejects_malformed_membership():
     specs = _variant_specs()
-    with pytest.raises(ValueError, match="at least two"):
-        FusedGroup(specs=(specs[0],))
+    with pytest.raises(ValueError, match="at least one"):
+        Job(specs=())
     other = CaseSpec(workload="chase", preset="tiny", instructions=N)
     with pytest.raises(ValueError, match="timing key"):
-        FusedGroup(specs=(specs[0], other))
+        Job(specs=(specs[0], other))
 
 
-def test_group_payload_validation_catches_member_damage():
-    group = FusedGroup(specs=tuple(_variant_specs()[:2]))
-    results, _ = runner.execute_fused_checkpointed(group, None)
-    payload = {"fused": [r.to_dict() for r in results]}
-    decoded = supervisor.validate_group_payload(payload, group)
+def test_job_payload_validation_catches_member_damage():
+    job = Job(specs=tuple(_variant_specs()[:2]))
+    results, _ = runner.execute_job(job, None)
+    payload = {"results": [r.to_dict() for r in results]}
+    decoded, resumed_from = supervisor.decode_payload(job, payload)
+    assert resumed_from is None
     for a, b in zip(results, decoded):
         assert a.to_dict() == b.to_dict()
     with pytest.raises(Exception):
-        supervisor.validate_group_payload({"fused": payload["fused"][:1]}, group)
-    damaged = {"fused": [dict(payload["fused"][0]), payload["fused"][1]]}
-    damaged["fused"][0]["cycles"] = -1
+        supervisor.decode_payload(job, {"results": payload["results"][:1]})
+    damaged = {"results": [dict(payload["results"][0]), payload["results"][1]]}
+    damaged["results"][0]["cycles"] = -1
     with pytest.raises(Exception):
-        supervisor.validate_group_payload(damaged, group)
+        supervisor.decode_payload(job, damaged)

@@ -20,7 +20,7 @@ from repro.experiments.flops_study import figure5_case
 from repro.experiments.idealization import table1_rows
 from repro.experiments.multicore import simulate_socket
 from repro.experiments.parallel import run_cases
-from repro.experiments.runner import clear_cache, execute_spec, store_result
+from repro.experiments.runner import clear_cache, run_spec, store_result
 
 N = 2500
 
@@ -80,7 +80,7 @@ def test_all_experiments_pass_strict_guard():
 
 
 def test_check_result_empty_on_healthy_result():
-    result = execute_spec(_spec())
+    result = run_spec(_spec(), use_cache=False)
     assert invariants.check_result(result) == []
 
 
@@ -89,7 +89,7 @@ def test_check_result_empty_on_healthy_result():
 
 
 def _corrupted(spec: CaseSpec):
-    result = execute_spec(spec)
+    result = run_spec(spec, use_cache=False)
     result.cycles += 12_345  # breaks every stack-total identity
     return result
 
@@ -126,7 +126,7 @@ def test_violation_messages_name_the_failed_checks():
 
 
 def test_negative_component_detected():
-    result = execute_spec(_spec())
+    result = run_spec(_spec(), use_cache=False)
     report = result.report
     assert report is not None
     component = next(iter(report.issue.counters))
@@ -136,7 +136,7 @@ def test_negative_component_detected():
 
 
 def test_stack_instruction_mismatch_detected():
-    result = execute_spec(_spec())
+    result = run_spec(_spec(), use_cache=False)
     assert result.report is not None
     result.report.commit.instructions += 7
     checks = {v.check for v in invariants.check_result(result)}
@@ -144,7 +144,7 @@ def test_stack_instruction_mismatch_detected():
 
 
 def test_mispredicts_exceeding_lookups_detected():
-    result = execute_spec(_spec())
+    result = run_spec(_spec(), use_cache=False)
     result.branch_mispredicts = result.branch_lookups + 1
     checks = {v.check for v in invariants.check_result(result)}
     assert "counts" in checks

@@ -236,6 +236,18 @@ def test_multicore_keys_leave_single_core_fingerprints_untouched():
     assert multi.timing_fingerprint()["multicore_schema"] == 1
     assert multi.member_key(0) != multi.member_key(1)
     assert multi.label().endswith("x4")
+    # Literal pins: a uniform drift of every key would pass the
+    # relational checks above and orphan every existing cache entry.
+    socket = CaseSpec(workload="mcf", preset="tiny", instructions=N, cores=2)
+    assert socket.key() == (
+        "b9ffa7eea138be8ad82d6bc6fd8f257b617d7acb53f7129953785896596c48e2"
+    )
+    assert socket.member_key(0) == (
+        "c97c1a4612b399a6ae4ea80c581ad9f70b91ed033807b078af7fcb3d5a88aa39"
+    )
+    assert socket.member_key(1) == (
+        "ea8089c702b18b5b42e3bffefc2b9ac14fa927d952301828ae4a5bd67b27d730"
+    )
     with pytest.raises(ValueError):
         CaseSpec(workload="mcf", preset="tiny", cores=0)
 
