@@ -476,7 +476,12 @@ def _cmd_overhead(args: argparse.Namespace) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    """Profile one simulation under cProfile and persist the report."""
+    """Profile one whole case under cProfile and persist the report.
+
+    Trace generation, simulator construction and the run all execute
+    inside the profiled region; the header times each phase on its own
+    and computes ``uops_per_second`` over the run alone.
+    """
     import cProfile
     import io
     import pstats
@@ -487,31 +492,34 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     from repro.workloads.registry import make_trace
 
     instructions = args.instructions or 10_000
-    trace = make_trace(args.workload, instructions, args.seed)
     config = get_preset(args.core)
-    fast_forward = not args.no_fast_forward
-    replay = not args.no_replay
-    sim = CoreSimulator(trace, config, fast_forward=fast_forward,
-                        replay=replay)
 
     profiler = cProfile.Profile()
-    start = time.perf_counter()
     profiler.enable()
+    start = time.perf_counter()
+    trace = make_trace(args.workload, instructions, args.seed)
+    built = time.perf_counter()
+    sim = CoreSimulator(trace, config, fast_forward=not args.no_fast_forward,
+                        replay=not args.no_replay)
+    constructed = time.perf_counter()
     result = sim.run()
+    finished = time.perf_counter()
     profiler.disable()
-    wall = time.perf_counter() - start
+    run_s = finished - constructed
 
     buf = io.StringIO()
     stats = pstats.Stats(profiler, stream=buf)
-    stats.sort_stats(args.sort).print_stats(args.top)
+    stats.strip_dirs().sort_stats(args.sort).print_stats(args.top)
     header = (
         f"# repro profile {args.workload} --core {args.core} "
         f"--instructions {instructions}"
         f"{' --no-fast-forward' if args.no_fast_forward else ''}"
         f"{' --no-replay' if args.no_replay else ''}\n"
-        f"# cycles={result.cycles} committed_uops={result.committed_uops} "
-        f"wall={wall:.3f}s "
-        f"uops_per_second={result.committed_uops / wall:,.0f}\n"
+        f"# trace_build={built - start:.3f}s instructions={len(trace)}\n"
+        f"# construct={constructed - built:.3f}s\n"
+        f"# run={run_s:.3f}s cycles={result.cycles} "
+        f"committed_uops={result.committed_uops} "
+        f"uops_per_second={result.committed_uops / run_s:,.0f}\n"
         f"# top {args.top} functions by {args.sort} time\n\n"
     )
     report = header + buf.getvalue()
@@ -636,7 +644,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     prof = sub.add_parser(
         "profile",
-        help="cProfile one simulation; report lands in results/",
+        help="cProfile one case (trace build, construction and run); "
+             "report lands in results/",
     )
     prof.add_argument("workload", choices=sorted(WORKLOADS))
     prof.add_argument(

@@ -25,24 +25,31 @@ from repro.isa.uops import MicroOp, UopClass
 #: Default macro-instruction length in bytes (x86 average is ~4).
 DEFAULT_LENGTH = 4
 
-#: Per-static-instruction decode memo: ``pc -> (argument key, instruction)``.
-#: Workload generators re-decode the same pc with the same arguments on
-#: every loop iteration; :class:`Instruction`/:class:`MicroOp` are frozen
-#: and built for sharing, so the builders return the cached object when
-#: the full argument key matches.  One entry per pc (replaced on an
-#: argument mismatch, e.g. a branch whose resolved direction alternates)
-#: keeps the memo bounded by the static code footprint.
-_DECODE_MEMO: dict[int, tuple[tuple, Instruction]] = {}
+#: Decode intern table: ``(pc, *argument key) -> Instruction``.
+#: :class:`Instruction` and :class:`MicroOp` are frozen and built for
+#: sharing, so every builder returns the existing object when the same
+#: static instruction recurs: a trace holds one object per *distinct*
+#: static instruction (a load-op FMA whose operand address rotates
+#: through a tile interns one entry per address, not one per dynamic
+#: instance).  The table grows with a trace's distinct instructions, so
+#: :meth:`~repro.workloads.base.TraceBuilder.program` releases it at the
+#: end of every trace build.
+_DECODE_MEMO: dict[tuple, Instruction] = {}
 
 
 def clear_decode_memo() -> None:
-    """Drop every memoized decode (test isolation hook)."""
+    """Release every interned instruction (called once per trace build)."""
     _DECODE_MEMO.clear()
 
 
 def decode_memo_size() -> int:
-    """Number of pcs currently memoized."""
+    """Number of distinct static instructions currently interned.
+
+    Zero between trace builds: the table lives only while a trace is
+    being generated.
+    """
     return len(_DECODE_MEMO)
+
 
 #: Vector registers reserved as load-op / microcode temporaries.  Rotating
 #: through a pool avoids serializing unrelated load-op instructions on a
@@ -58,12 +65,12 @@ def _temp_reg(pc: int, slot: int = 0) -> int:
 
 def nop(pc: int, *, length: int = DEFAULT_LENGTH) -> Instruction:
     """A no-op macro instruction (still occupies pipeline slots)."""
-    key = ("nop", length)
-    entry = _DECODE_MEMO.get(pc)
-    if entry is not None and entry[0] == key:
-        return entry[1]
+    key = (pc, "nop", length)
+    instr = _DECODE_MEMO.get(key)
+    if instr is not None:
+        return instr
     instr = Instruction(pc=pc, length=length, uops=(MicroOp(UopClass.NOP),))
-    _DECODE_MEMO[pc] = (key, instr)
+    _DECODE_MEMO[key] = instr
     return instr
 
 
@@ -76,13 +83,13 @@ def alu(
 ) -> Instruction:
     """Single-cycle integer ALU instruction."""
     srcs = tuple(srcs)
-    key = ("alu", dst, srcs, length)
-    entry = _DECODE_MEMO.get(pc)
-    if entry is not None and entry[0] == key:
-        return entry[1]
+    key = (pc, "alu", dst, srcs, length)
+    instr = _DECODE_MEMO.get(key)
+    if instr is not None:
+        return instr
     uop = MicroOp(UopClass.ALU, srcs=srcs, dst=dst)
     instr = Instruction(pc=pc, length=length, uops=(uop,))
-    _DECODE_MEMO[pc] = (key, instr)
+    _DECODE_MEMO[key] = instr
     return instr
 
 
@@ -95,13 +102,13 @@ def mul(
 ) -> Instruction:
     """Multi-cycle integer multiply."""
     srcs = tuple(srcs)
-    key = ("mul", dst, srcs, length)
-    entry = _DECODE_MEMO.get(pc)
-    if entry is not None and entry[0] == key:
-        return entry[1]
+    key = (pc, "mul", dst, srcs, length)
+    instr = _DECODE_MEMO.get(key)
+    if instr is not None:
+        return instr
     uop = MicroOp(UopClass.MUL, srcs=srcs, dst=dst)
     instr = Instruction(pc=pc, length=length, uops=(uop,))
-    _DECODE_MEMO[pc] = (key, instr)
+    _DECODE_MEMO[key] = instr
     return instr
 
 
@@ -114,13 +121,13 @@ def div(
 ) -> Instruction:
     """Long-latency integer divide."""
     srcs = tuple(srcs)
-    key = ("div", dst, srcs, length)
-    entry = _DECODE_MEMO.get(pc)
-    if entry is not None and entry[0] == key:
-        return entry[1]
+    key = (pc, "div", dst, srcs, length)
+    instr = _DECODE_MEMO.get(key)
+    if instr is not None:
+        return instr
     uop = MicroOp(UopClass.DIV, srcs=srcs, dst=dst)
     instr = Instruction(pc=pc, length=length, uops=(uop,))
-    _DECODE_MEMO[pc] = (key, instr)
+    _DECODE_MEMO[key] = instr
     return instr
 
 
@@ -135,15 +142,15 @@ def load(
 ) -> Instruction:
     """Scalar load from ``addr`` into ``dst``."""
     addr_srcs = tuple(addr_srcs)
-    key = ("load", dst, addr, addr_srcs, size, length)
-    entry = _DECODE_MEMO.get(pc)
-    if entry is not None and entry[0] == key:
-        return entry[1]
+    key = (pc, "load", dst, addr, addr_srcs, size, length)
+    instr = _DECODE_MEMO.get(key)
+    if instr is not None:
+        return instr
     uop = MicroOp(
         UopClass.LOAD, srcs=addr_srcs, dst=dst, addr=addr, size=size
     )
     instr = Instruction(pc=pc, length=length, uops=(uop,))
-    _DECODE_MEMO[pc] = (key, instr)
+    _DECODE_MEMO[key] = instr
     return instr
 
 
@@ -158,10 +165,10 @@ def store(
 ) -> Instruction:
     """Scalar store of ``src`` to ``addr``."""
     addr_srcs = tuple(addr_srcs)
-    key = ("store", src, addr, addr_srcs, size, length)
-    entry = _DECODE_MEMO.get(pc)
-    if entry is not None and entry[0] == key:
-        return entry[1]
+    key = (pc, "store", src, addr, addr_srcs, size, length)
+    instr = _DECODE_MEMO.get(key)
+    if instr is not None:
+        return instr
     uop = MicroOp(
         UopClass.STORE,
         srcs=(src, *addr_srcs),
@@ -170,7 +177,7 @@ def store(
         size=size,
     )
     instr = Instruction(pc=pc, length=length, uops=(uop,))
-    _DECODE_MEMO[pc] = (key, instr)
+    _DECODE_MEMO[key] = instr
     return instr
 
 
@@ -184,10 +191,10 @@ def branch(
 ) -> Instruction:
     """Conditional branch with resolved direction and target."""
     srcs = tuple(srcs)
-    key = ("branch", taken, target, srcs, length)
-    entry = _DECODE_MEMO.get(pc)
-    if entry is not None and entry[0] == key:
-        return entry[1]
+    key = (pc, "branch", taken, target, srcs, length)
+    instr = _DECODE_MEMO.get(key)
+    if instr is not None:
+        return instr
     uop = MicroOp(UopClass.BRANCH, srcs=srcs)
     instr = Instruction(
         pc=pc,
@@ -197,7 +204,7 @@ def branch(
         taken=taken,
         target=target,
     )
-    _DECODE_MEMO[pc] = (key, instr)
+    _DECODE_MEMO[key] = instr
     return instr
 
 
@@ -218,12 +225,12 @@ def _vector_compute(
     srcs = tuple(srcs)
     addr_srcs = tuple(addr_srcs)
     key = (
-        "vec", uclass, dst, srcs, lanes, width_lanes,
+        pc, "vec", uclass, dst, srcs, lanes, width_lanes,
         mem_addr, addr_srcs, mem_size, length,
     )
-    entry = _DECODE_MEMO.get(pc)
-    if entry is not None and entry[0] == key:
-        return entry[1]
+    instr = _DECODE_MEMO.get(key)
+    if instr is not None:
+        return instr
     if mem_addr is None:
         uop = MicroOp(
             uclass,
@@ -233,7 +240,7 @@ def _vector_compute(
             width_lanes=width_lanes,
         )
         instr = Instruction(pc=pc, length=length, uops=(uop,))
-        _DECODE_MEMO[pc] = (key, instr)
+        _DECODE_MEMO[key] = instr
         return instr
     # Memory-operand form: decode splits into load + compute micro-ops.
     temp = _temp_reg(pc)
@@ -252,7 +259,7 @@ def _vector_compute(
         width_lanes=width_lanes,
     )
     instr = Instruction(pc=pc, length=length, uops=(load_uop, compute))
-    _DECODE_MEMO[pc] = (key, instr)
+    _DECODE_MEMO[key] = instr
     return instr
 
 
@@ -331,10 +338,10 @@ def vec_int(
 ) -> Instruction:
     """Integer SIMD op: occupies a vector unit but performs zero FLOPs."""
     srcs = tuple(srcs)
-    key = ("vec_int", dst, srcs, lanes, width_lanes, length)
-    entry = _DECODE_MEMO.get(pc)
-    if entry is not None and entry[0] == key:
-        return entry[1]
+    key = (pc, "vec_int", dst, srcs, lanes, width_lanes, length)
+    instr = _DECODE_MEMO.get(key)
+    if instr is not None:
+        return instr
     uop = MicroOp(
         UopClass.VEC_INT,
         srcs=srcs,
@@ -343,7 +350,7 @@ def vec_int(
         width_lanes=width_lanes,
     )
     instr = Instruction(pc=pc, length=length, uops=(uop,))
-    _DECODE_MEMO[pc] = (key, instr)
+    _DECODE_MEMO[key] = instr
     return instr
 
 
@@ -365,12 +372,12 @@ def broadcast(
     srcs = tuple(srcs)
     addr_srcs = tuple(addr_srcs)
     key = (
-        "broadcast", dst, srcs, width_lanes,
+        pc, "broadcast", dst, srcs, width_lanes,
         mem_addr, addr_srcs, mem_size, length,
     )
-    entry = _DECODE_MEMO.get(pc)
-    if entry is not None and entry[0] == key:
-        return entry[1]
+    instr = _DECODE_MEMO.get(key)
+    if instr is not None:
+        return instr
     if mem_addr is None:
         uop = MicroOp(
             UopClass.BROADCAST,
@@ -380,7 +387,7 @@ def broadcast(
             width_lanes=width_lanes,
         )
         instr = Instruction(pc=pc, length=length, uops=(uop,))
-        _DECODE_MEMO[pc] = (key, instr)
+        _DECODE_MEMO[key] = instr
         return instr
     temp = _temp_reg(pc)
     load_uop = MicroOp(
@@ -398,7 +405,7 @@ def broadcast(
         width_lanes=width_lanes,
     )
     instr = Instruction(pc=pc, length=length, uops=(load_uop, bcast))
-    _DECODE_MEMO[pc] = (key, instr)
+    _DECODE_MEMO[key] = instr
     return instr
 
 
@@ -420,10 +427,10 @@ def microcoded_fp(
     if n_uops < 2:
         raise ValueError("a microcoded instruction needs at least 2 micro-ops")
     srcs = tuple(srcs)
-    key = ("microcoded_fp", dst, srcs, n_uops, decode_cycles, length)
-    entry = _DECODE_MEMO.get(pc)
-    if entry is not None and entry[0] == key:
-        return entry[1]
+    key = (pc, "microcoded_fp", dst, srcs, n_uops, decode_cycles, length)
+    instr = _DECODE_MEMO.get(key)
+    if instr is not None:
+        return instr
     uops: list[MicroOp] = []
     prev = NO_REG
     for slot in range(n_uops):
@@ -439,7 +446,7 @@ def microcoded_fp(
         microcoded=True,
         decode_cycles=n_uops if decode_cycles is None else decode_cycles,
     )
-    _DECODE_MEMO[pc] = (key, instr)
+    _DECODE_MEMO[key] = instr
     return instr
 
 
@@ -456,17 +463,17 @@ def sync_yield(
     """
     if cycles <= 0:
         raise ValueError("yield must cover at least one cycle")
-    key = ("sync_yield", cycles, length)
-    entry = _DECODE_MEMO.get(pc)
-    if entry is not None and entry[0] == key:
-        return entry[1]
+    key = (pc, "sync_yield", cycles, length)
+    instr = _DECODE_MEMO.get(key)
+    if instr is not None:
+        return instr
     instr = Instruction(
         pc=pc,
         length=length,
         uops=(MicroOp(UopClass.SYNC),),
         yield_cycles=cycles,
     )
-    _DECODE_MEMO[pc] = (key, instr)
+    _DECODE_MEMO[key] = instr
     return instr
 
 
@@ -486,10 +493,10 @@ def barrier(
     """
     if cycles <= 0:
         raise ValueError("a barrier must cover at least one cycle")
-    key = ("barrier", cycles, length)
-    entry = _DECODE_MEMO.get(pc)
-    if entry is not None and entry[0] == key:
-        return entry[1]
+    key = (pc, "barrier", cycles, length)
+    instr = _DECODE_MEMO.get(key)
+    if instr is not None:
+        return instr
     instr = Instruction(
         pc=pc,
         length=length,
@@ -497,5 +504,5 @@ def barrier(
         yield_cycles=cycles,
         barrier=True,
     )
-    _DECODE_MEMO[pc] = (key, instr)
+    _DECODE_MEMO[key] = instr
     return instr

@@ -12,6 +12,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable
 
+from repro.isa.decoder import clear_decode_memo
 from repro.isa.instructions import Instruction, Program
 
 #: Integer registers reserved for the wrong-path synthesizer; generators
@@ -61,8 +62,16 @@ class TraceBuilder:
         return pc
 
     def program(self) -> Program:
+        """Package the trace and release the decoder's intern table.
+
+        Instructions emitted since the last release share one object per
+        distinct static instruction; releasing the table here keeps a
+        process that builds many traces from pinning every instruction
+        it ever decoded once the traces themselves are dropped.
+        """
         prog = Program(self.name)
         prog.extend(self.instructions)
+        clear_decode_memo()
         return prog
 
 

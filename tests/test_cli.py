@@ -87,7 +87,7 @@ def test_overhead_command(capsys):
 def test_profile_command(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code = main(["profile", "exchange2", "--core", "tiny",
-                 "--instructions", "1500", "--top", "5"])
+                 "--instructions", "1500", "--top", "40"])
     assert code == 0
     out = capsys.readouterr().out
     assert "cumulative" in out
@@ -95,6 +95,14 @@ def test_profile_command(capsys, tmp_path, monkeypatch):
     assert report.exists()
     text = report.read_text()
     assert "committed_uops" in text and "_step_event" in text
+    header = [line for line in text.splitlines() if line.startswith("# ")]
+    assert header[1].startswith("# trace_build=")
+    assert "instructions=" in header[1]
+    assert header[2].startswith("# construct=")
+    assert header[3].startswith("# run=")
+    assert "uops_per_second=" in header[3]
+    # The trace build runs inside the profiled region.
+    assert "(make_trace)" in text
 
 
 def test_socket_command(capsys):

@@ -107,3 +107,78 @@ def test_masked_fma_lanes():
     instr = asm.fma(0, dst=40, srcs=(40,), lanes=5, width_lanes=16)
     assert instr.uops[0].lanes == 5
     assert instr.uops[0].flops == 10
+
+
+# ---------------------------------------------------------------------------
+# Value interning
+# ---------------------------------------------------------------------------
+
+_BUILDS = {
+    "nop": lambda: asm.nop(0x40),
+    "alu": lambda: asm.alu(0x40, dst=3, srcs=[1, 2]),
+    "mul": lambda: asm.mul(0x40, dst=3, srcs=(1, 2)),
+    "div": lambda: asm.div(0x40, dst=3, srcs=(1, 2)),
+    "load": lambda: asm.load(0x40, dst=2, addr=0x1000, addr_srcs=(5,)),
+    "store": lambda: asm.store(0x40, src=7, addr=0x1000, addr_srcs=(5,)),
+    "branch": lambda: asm.branch(0x40, taken=True, target=0x80, srcs=(4,)),
+    "fp_add": lambda: asm.fp_add(0x40, dst=40, srcs=(40, 41), lanes=8,
+                                 width_lanes=8),
+    "fp_mul-mem": lambda: asm.fp_mul(0x40, dst=40, srcs=(40,), lanes=8,
+                                     width_lanes=8, mem_addr=0x2000),
+    "fma": lambda: asm.fma(0x40, dst=40, srcs=(40, 41), lanes=16,
+                           width_lanes=16),
+    "fma-mem": lambda: asm.fma(0x40, dst=40, srcs=(40, 41), lanes=16,
+                               width_lanes=16, mem_addr=0x1000,
+                               addr_srcs=(1,)),
+    "vec_int": lambda: asm.vec_int(0x40, dst=42, srcs=(42,), lanes=4,
+                                   width_lanes=8),
+    "broadcast": lambda: asm.broadcast(0x40, dst=39, srcs=(40,),
+                                       width_lanes=16),
+    "broadcast-mem": lambda: asm.broadcast(0x40, dst=39, width_lanes=16,
+                                           mem_addr=0x2000, addr_srcs=(2,)),
+    "microcoded_fp": lambda: asm.microcoded_fp(0x40, dst=45, srcs=(32, 33),
+                                               n_uops=5, decode_cycles=7),
+    "sync_yield": lambda: asm.sync_yield(0x40, 100),
+    "barrier": lambda: asm.barrier(0x40, 150),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BUILDS))
+def test_memo_hit_equals_fresh_build(name):
+    build = _BUILDS[name]
+    asm.clear_decode_memo()
+    first = build()
+    hit = build()
+    assert hit is first
+    assert asm.decode_memo_size() == 1
+    asm.clear_decode_memo()
+    fresh = build()
+    assert fresh is not hit
+    assert fresh == hit
+    asm.clear_decode_memo()
+
+
+def test_rotating_operand_addresses_intern_per_address():
+    """One pc, several operand addresses: each distinct static instruction
+    is built once and every recurrence returns that object."""
+    asm.clear_decode_memo()
+    addrs = [0x1000 + 64 * k for k in range(4)]
+    first = [asm.fma(0, dst=40, srcs=(40,), lanes=16, width_lanes=16,
+                     mem_addr=a) for a in addrs]
+    again = [asm.fma(0, dst=40, srcs=(40,), lanes=16, width_lanes=16,
+                     mem_addr=a) for a in reversed(addrs)]
+    assert again[::-1] == first
+    assert all(x is y for x, y in zip(again[::-1], first))
+    assert len({id(i) for i in first}) == len(addrs)
+    assert asm.decode_memo_size() == len(addrs)
+    asm.clear_decode_memo()
+
+
+def test_invalid_builds_are_rejected_every_time():
+    """Construction-time validation guards every first build; a rejected
+    instruction is never interned."""
+    asm.clear_decode_memo()
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            asm.fma(0, dst=40, srcs=(40,), lanes=17, width_lanes=16)
+    assert asm.decode_memo_size() == 0

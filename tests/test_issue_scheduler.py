@@ -174,8 +174,8 @@ def test_decode_memo_validated_by_instruction_identity():
     b.emit(first)
     for _ in range(4):
         b.emit(asm.alu(b.pc, dst=3, srcs=(3,)))
-    # Same pc, structurally different instruction (decoder memo key
-    # differs, so a fresh object replaces the first one).
+    # Same pc, structurally different instruction (its decoder intern
+    # key differs, so the builder returns a distinct object).
     second = asm.load(pc0, dst=4, addr=DATA_BASE)
     assert second is not first
     b.at(pc0)

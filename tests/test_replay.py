@@ -156,16 +156,21 @@ def test_find_period_on_static_loop():
         assert instrs[i] == instrs[i + period]
 
 
-def test_find_period_on_rotating_loop():
-    """exchange2's load rotates through 8 slots: the instruction-level
-    period is the 8-iteration super-period, not the loop body length."""
-    trace = make_trace("exchange2", 2_000, 1)
-    found = find_period(trace)
-    assert found is not None
-    start, period = found
+@pytest.mark.parametrize("workload, instructions, expected", [
+    # exchange2's load rotates through 8 slots: the instruction-level
+    # period is the 8-iteration super-period, not the loop body length.
+    ("exchange2", 2_000, (0, 96)),
+    # KNL-JIT sgemm: load-op FMAs whose operand addresses rotate.
+    ("gemm-train-1760-knl", 20_000, (0, 896)),
+])
+def test_find_period_on_rotating_loop(workload, instructions, expected):
+    trace = make_trace(workload, instructions, 1)
+    assert find_period(trace) == expected
+    start, period = expected
     instrs = trace.instructions
     for i in range(start, len(instrs) - period):
-        assert instrs[i] == instrs[i + period]
+        # Interned by value: a period match is one shared object.
+        assert instrs[i] is instrs[i + period]
 
 
 def test_find_period_rejects_aperiodic_traces():
