@@ -4,9 +4,11 @@ Not a paper figure — a harness health metric, useful when sizing traces
 and for catching simulator performance regressions.  The matrix covers
 memory-bound traces (where the quiescent-cycle fast-forward engine does
 its work) and compute-bound loop traces (where the periodic steady-state
-replay engine does its work and fast-forward must not regress), each on
-the Broadwell and Knights Landing presets with fast-forward off, on, and
-on-plus-replay.
+replay engine does its work and the skip engines must not regress), each
+on the Broadwell and Knights Landing presets in the two simulator modes:
+the ``default`` fast path (both skip engines armed) and the
+``reference`` path (full issue scan, dict-backed memory, every cycle
+stepped).
 
 Timing is plain ``time.perf_counter`` over full simulations (min of
 several repeats) — no pytest-benchmark fixture — so the CI perf-smoke
@@ -16,16 +18,14 @@ writes ``results/BENCH_runner_scaling.json``; the committed copy doubles
 as the throughput baseline the floor assertions are derived from
 (replacing the old magic ``> 5_000`` constant).
 
-Each (workload, config) cell also reports ``active_uops_per_second``:
-the throughput of the fast-forward-off run.  Since the memory fast path
-landed, that run is no longer strictly cycle-by-cycle — the fast path
-elides provably-dead stall cycles and silently arms the replay engine
-even with the skip engines nominally off — so every cell additionally
-times a ``legacy`` variant (``memory_fast_path=False``, both engines
-off), which *is* the true every-cycle reference and the denominator for
-the engine-speedup assertions below.  The PR 3 scheduler floors keep
-their original ``ff_off`` definition: the kwargs are unchanged, only
-the implementation behind them got faster.
+Each (workload, config) cell also reports ``active_uops_per_second``,
+the default run's throughput.  Earlier versions of this bench timed it
+as a separate "fast-forward off" run, but since the memory fast path
+landed that run executed the same program as the default (stall
+elision and replay stayed armed with the engines nominally off), so the
+scheduler and committed-baseline floors read the default run now.  The
+``reference`` run *is* the every-cycle oracle and the denominator of
+the engine-speedup assertions below.
 """
 
 from __future__ import annotations
@@ -64,9 +64,9 @@ MEMORY_BOUND_FLOOR = 15_000
 #: PR 3 active-throughput baselines: the ``ff_off`` ``uops_per_second``
 #: of the committed ``results/BENCH_simulator_speed.json`` as of commit
 #: 905c8a1 (the last full-RS-scan scheduler).  ``active_uops_per_second``
-#: uses the same definition (uops/s with every cycle simulated, i.e.
-#: computed over non-skipped cycles only), so these pinned values are the
-#: denominators for the event-driven scheduler's speedup floors.
+#: is the default run's throughput (see the module docstring), and these
+#: pinned values are the denominators for the event-driven scheduler's
+#: speedup floors.
 PR3_ACTIVE_BASELINE = {
     ("chase", "bdw"): 2_473,
     ("chase", "knl"): 3_110,
@@ -99,11 +99,8 @@ PR5_FF_BASELINE = {
 }
 
 #: Skip-engine speedup floors on the two designated loop traces: the
-#: replay-on run must beat the every-cycle ``legacy`` run by at least
-#: this wall-clock factor (host-independent ratio, no slack).  Pinned
-#: against ``legacy`` rather than the fast-forward-only run because the
-#: memory fast path arms replay silently: with it on, ``ff_on`` already
-#: replays and the old on-vs-on ratio degenerates to ~1x.
+#: default run must beat the every-cycle ``reference`` run by at least
+#: this wall-clock factor (host-independent ratio, no slack).
 REPLAY_SPEEDUP_FLOORS = {"exchange2": 3.0, "spin": 3.0}
 
 #: Committed-baseline slack: CI and developer machines differ widely, so
@@ -117,15 +114,12 @@ SLACK = 0.25
 REPEATS = 5
 
 
-#: The timed variants per (workload, config) cell:
-#: (name, fast_forward, replay, memory_fast_path).  ``legacy`` is the
-#: every-cycle reference — dict-backed memory walk, no elision, no
-#: engines — that the engine-speedup assertions divide by.
+#: The timed variants per (workload, config) cell: (name, reference).
+#: ``reference`` is the every-cycle oracle the engine-speedup assertions
+#: divide by.
 _VARIANTS = (
-    ("legacy", False, False, False),
-    ("ff_off", False, False, True),
-    ("ff_on", True, False, True),
-    ("replay_on", True, True, True),
+    ("default", False),
+    ("reference", True),
 )
 
 
@@ -139,11 +133,9 @@ def _time_cells(workload: str, instructions: int, config_fn) -> dict:
     """
     best: dict[str, tuple] = {}
     for _ in range(REPEATS):
-        for name, fast_forward, replay, memory_fast in _VARIANTS:
+        for name, reference in _VARIANTS:
             trace = make_trace(workload, instructions, 1)
-            sim = CoreSimulator(trace, config_fn(),
-                                fast_forward=fast_forward, replay=replay,
-                                memory_fast_path=memory_fast)
+            sim = CoreSimulator(trace, config_fn(), reference=reference)
             start = time.perf_counter()
             result = sim.run()
             wall = time.perf_counter() - start
@@ -170,7 +162,7 @@ def _baseline_floor(baseline: dict | None, workload: str, cfg: str) -> int:
         return 0
     try:
         cell = baseline["workloads"][workload]["configs"][cfg]
-        return int(cell["ff_on"]["uops_per_second"] * SLACK)
+        return int(cell["default"]["uops_per_second"] * SLACK)
     except (KeyError, TypeError):
         return 0
 
@@ -178,19 +170,12 @@ def _baseline_floor(baseline: dict | None, workload: str, cfg: str) -> int:
 def _active_baseline_floor(
     baseline: dict | None, workload: str, cfg: str
 ) -> int:
-    """Active-throughput floor from the committed JSON (with slack).
-
-    Older baselines predate the metric; fall back to the ``ff_off``
-    throughput, which is the same quantity under its original name.
-    """
+    """Active-throughput floor from the committed JSON (with slack)."""
     if baseline is None:
         return 0
     try:
         cell = baseline["workloads"][workload]["configs"][cfg]
-        active = cell.get(
-            "active_uops_per_second", cell["ff_off"]["uops_per_second"]
-        )
-        return int(active * SLACK)
+        return int(cell["active_uops_per_second"] * SLACK)
     except (KeyError, TypeError):
         return 0
 
@@ -205,48 +190,32 @@ def test_simulator_speed(reporter):
         configs: dict[str, dict] = {}
         for cfg_name, cfg_fn in CONFIGS:
             timed = _time_cells(workload, instructions, cfg_fn)
-            legacy = timed["legacy"]
-            off = timed["ff_off"]
-            on = timed["ff_on"]
-            replay_on = timed["replay_on"]
-            # Engine speedups versus the every-cycle legacy reference
-            # (the fast path elides stall streaks even with the engines
-            # off, so on-vs-off ratios no longer isolate the engines).
-            ff_speedup = (
-                round(legacy["wall_seconds"] / on["wall_seconds"], 2)
-                if on["wall_seconds"] > 0 else None
+            default, reference = timed["default"], timed["reference"]
+            # Speedup of the default path (both skip engines, event
+            # scheduler, flat memory) over the every-cycle reference.
+            speedup = (
+                round(reference["wall_seconds"] / default["wall_seconds"], 2)
+                if default["wall_seconds"] > 0 else None
             )
-            replay_speedup = (
-                round(legacy["wall_seconds"] / replay_on["wall_seconds"], 2)
-                if replay_on["wall_seconds"] > 0 else None
-            )
-            # Active throughput: the fast_forward=False run's uops/s —
-            # same kwargs as every earlier baseline, now accelerated by
-            # the memory fast path (see bench_memory_hotpath for the
-            # fast-vs-legacy split of that gain).
-            active = off["uops_per_second"]
+            active = default["uops_per_second"]
             pr3 = PR3_ACTIVE_BASELINE.get((workload, cfg_name))
             scheduler_speedup = round(active / pr3, 2) if pr3 else None
             configs[cfg_name] = {
-                "legacy": legacy, "ff_off": off, "ff_on": on,
-                "replay_on": replay_on,
-                "ff_speedup_vs_legacy": ff_speedup,
-                "replay_speedup_vs_legacy": replay_speedup,
+                "default": default, "reference": reference,
+                "speedup_vs_reference": speedup,
                 "active_uops_per_second": active,
                 "scheduler_speedup_vs_pr3": scheduler_speedup,
             }
             reporter.emit(
                 f"{workload:10s} {cfg_name} ({kind}): "
-                f"legacy={legacy['wall_seconds']:.3f}s "
-                f"off={off['wall_seconds']:.3f}s on={on['wall_seconds']:.3f}s "
-                f"replay={replay_on['wall_seconds']:.3f}s "
-                f"ff={ff_speedup}x replay={replay_speedup}x vs legacy "
-                f"{replay_on['uops_per_second']:,} uops/s "
-                f"active={active:,} uops/s ({scheduler_speedup}x vs PR 3) "
-                f"(ff {on['ff_windows']} windows "
-                f"{on['ff_cycles_skipped']}/{on['cycles']} cycles; replay "
-                f"{replay_on['replay_windows']} windows "
-                f"{replay_on['replay_cycles_skipped']}/{replay_on['cycles']})"
+                f"reference={reference['wall_seconds']:.3f}s "
+                f"default={default['wall_seconds']:.3f}s "
+                f"{speedup}x vs reference "
+                f"{active:,} uops/s ({scheduler_speedup}x vs PR 3) "
+                f"(ff {default['ff_windows']} windows "
+                f"{default['ff_cycles_skipped']}/{default['cycles']} cycles; "
+                f"replay {default['replay_windows']} windows "
+                f"{default['replay_cycles_skipped']}/{default['cycles']})"
             )
         workloads[workload] = {
             "kind": kind, "instructions": instructions, "configs": configs,
@@ -277,32 +246,28 @@ def test_simulator_speed(reporter):
     # The designated memory-bound trace must clear the hard floor and
     # show the fast-forward engine actually engaging.
     chase = workloads["chase"]["configs"]["bdw"]
-    assert chase["ff_on"]["uops_per_second"] > max(
+    assert chase["default"]["uops_per_second"] > max(
         MEMORY_BOUND_FLOOR, _baseline_floor(baseline, "chase", "bdw")
     )
-    assert chase["ff_speedup_vs_legacy"] >= 3.0
-    assert chase["ff_on"]["ff_cycles_skipped"] > 0
+    assert chase["speedup_vs_reference"] >= 3.0
+    assert chase["default"]["ff_cycles_skipped"] > 0
 
-    # Compute-bound guard: fast-forward must not regress the plain run
-    # (both share the elision machinery; the engine adds only its own
-    # window bookkeeping on top).  With the memory fast path both walls
-    # sit near 10-30ms, so allow 10% timer noise.
+    # Compute-bound guard: on a trace where nearly every cycle is active
+    # the skip engines have little to skip, and their bookkeeping must
+    # not make the default path slower than the every-cycle reference.
+    # Both walls sit near 10-40ms, so allow 10% timer noise.
     for cfg_name, _ in CONFIGS:
         cell = workloads["exchange2"]["configs"][cfg_name]
-        guard = round(
-            cell["ff_off"]["wall_seconds"] / cell["ff_on"]["wall_seconds"],
-            2,
-        )
-        assert guard >= 0.90, (
-            f"fast-forward regressed compute-bound exchange2/{cfg_name}: "
-            f"{guard}x"
+        assert cell["speedup_vs_reference"] >= 0.90, (
+            f"the default path regressed compute-bound exchange2/"
+            f"{cfg_name}: {cell['speedup_vs_reference']}x vs reference"
         )
 
     # Every cell stays above its committed-baseline floor (with slack).
     for workload, data in workloads.items():
         for cfg_name, cell in data["configs"].items():
             floor = _baseline_floor(baseline, workload, cfg_name)
-            assert cell["ff_on"]["uops_per_second"] > floor, (
+            assert cell["default"]["uops_per_second"] > floor, (
                 f"{workload}/{cfg_name} fell below baseline floor {floor:,}"
             )
             active_floor = _active_baseline_floor(
@@ -328,27 +293,28 @@ def test_simulator_speed(reporter):
             )
 
     # Periodic-replay floors: the engine must engage on the two loop
-    # traces and beat the every-cycle legacy run by the pinned ratio.
+    # traces and the default run must beat the every-cycle reference by
+    # the pinned ratio.
     for workload, ratio in REPLAY_SPEEDUP_FLOORS.items():
         for cfg_name, _ in CONFIGS:
             cell = workloads[workload]["configs"][cfg_name]
-            assert cell["replay_on"]["replay_cycles_skipped"] > 0, (
+            assert cell["default"]["replay_cycles_skipped"] > 0, (
                 f"replay never engaged on {workload}/{cfg_name}"
             )
-            assert cell["replay_speedup_vs_legacy"] >= ratio, (
-                f"{workload}/{cfg_name} replay speedup "
-                f"{cell['replay_speedup_vs_legacy']}x is below the "
-                f"{ratio}x floor"
+            assert cell["speedup_vs_reference"] >= ratio, (
+                f"{workload}/{cfg_name} speedup "
+                f"{cell['speedup_vs_reference']}x vs reference is below "
+                f"the {ratio}x floor"
             )
 
     # Replay throughput versus the pinned PR 5 (fast-forward-only)
-    # baselines, no slack: exchange2 with replay on must run at least
-    # 3x the committed fast-forward-on throughput.
+    # baselines, no slack: exchange2 on the default path must run at
+    # least 3x the committed fast-forward-on throughput.
     for (workload, cfg_name), pinned in PR5_FF_BASELINE.items():
         cell = workloads[workload]["configs"][cfg_name]
         floor = int(pinned * 3.0)
-        assert cell["replay_on"]["uops_per_second"] >= floor, (
-            f"{workload}/{cfg_name} replay_on throughput "
-            f"{cell['replay_on']['uops_per_second']:,} is below the "
+        assert cell["default"]["uops_per_second"] >= floor, (
+            f"{workload}/{cfg_name} default throughput "
+            f"{cell['default']['uops_per_second']:,} is below the "
             f"3x floor {floor:,} (PR 5 ff_on baseline {pinned:,})"
         )

@@ -27,7 +27,9 @@ from errors to warnings), ``--checkpoint-interval`` (take a crash-safe
 snapshot every N committed instructions so retried cases resume instead
 of restarting) and ``--no-fuse`` (run every case as its own simulation
 instead of fusing cases that share a timing; fused and unfused results
-are bitwise identical).
+are bitwise identical).  ``run``, ``profile`` and every experiment
+subcommand accept ``--reference``: simulate on the every-cycle reference
+path instead of the fast default (bitwise identical results).
 """
 
 from __future__ import annotations
@@ -409,6 +411,16 @@ def _jobs_arg(text: str) -> "int | str":
         ) from None
 
 
+def _add_reference_flag(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--reference", action="store_true",
+        help="simulate on the reference path: full issue-queue scan, "
+             "dict-backed memory, no fast-forward or replay, every cycle "
+             "stepped (results are bitwise identical to the default; "
+             "useful for timing comparisons and bisection)",
+    )
+
+
 def _add_harness_flags(parser: argparse.ArgumentParser) -> None:
     """Flags shared by every batch-scheduling experiment subcommand."""
     parser.add_argument(
@@ -438,19 +450,7 @@ def _add_harness_flags(parser: argparse.ArgumentParser) -> None:
         help="downgrade accounting invariant violations from errors to "
              "warnings (violating results are still never disk-cached)",
     )
-    parser.add_argument(
-        "--no-fast-forward", action="store_true", dest="no_fast_forward",
-        help="force the cycle-by-cycle simulation loop, disabling the "
-             "quiescent-cycle fast-forward engine (results are bitwise "
-             "identical either way; useful for timing comparisons and "
-             "as a bisection escape hatch)",
-    )
-    parser.add_argument(
-        "--no-replay", action="store_true", dest="no_replay",
-        help="disable the periodic steady-state replay engine (results "
-             "are bitwise identical either way; same contract as "
-             "--no-fast-forward)",
-    )
+    _add_reference_flag(parser)
     parser.add_argument(
         "--checkpoint-interval", type=int, default=None,
         dest="checkpoint_interval", metavar="N",
@@ -499,8 +499,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     start = time.perf_counter()
     trace = make_trace(args.workload, instructions, args.seed)
     built = time.perf_counter()
-    sim = CoreSimulator(trace, config, fast_forward=not args.no_fast_forward,
-                        replay=not args.no_replay)
+    sim = CoreSimulator(trace, config)
     constructed = time.perf_counter()
     result = sim.run()
     finished = time.perf_counter()
@@ -513,8 +512,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     header = (
         f"# repro profile {args.workload} --core {args.core} "
         f"--instructions {instructions}"
-        f"{' --no-fast-forward' if args.no_fast_forward else ''}"
-        f"{' --no-replay' if args.no_replay else ''}\n"
+        f"{' --reference' if sim.reference else ''}\n"
         f"# trace_build={built - start:.3f}s instructions={len(trace)}\n"
         f"# construct={constructed - built:.3f}s\n"
         f"# run={run_s:.3f}s cycles={result.cycles} "
@@ -558,16 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument("--flops", action="store_true",
                      help="also print the FLOPS stack")
-    run.add_argument(
-        "--no-fast-forward", action="store_true", dest="no_fast_forward",
-        help="force the cycle-by-cycle simulation loop (results are "
-             "bitwise identical either way)",
-    )
-    run.add_argument(
-        "--no-replay", action="store_true", dest="no_replay",
-        help="disable the periodic steady-state replay engine (results "
-             "are bitwise identical either way)",
-    )
+    _add_reference_flag(run)
     run.set_defaults(func=_cmd_run)
 
     wl = sub.add_parser("workloads", help="list available workloads")
@@ -667,14 +656,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", default=None, metavar="PATH",
         help="report destination (default: results/profile_<workload>.txt)",
     )
-    prof.add_argument(
-        "--no-fast-forward", action="store_true", dest="no_fast_forward",
-        help="profile the cycle-by-cycle loop (every cycle simulated)",
-    )
-    prof.add_argument(
-        "--no-replay", action="store_true", dest="no_replay",
-        help="profile without the periodic steady-state replay engine",
-    )
+    _add_reference_flag(prof)
     prof.set_defaults(func=_cmd_profile)
 
     fl = sub.add_parser(
@@ -705,11 +687,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         # workers inherit) every worker's guard.
         invariants.set_strict(False)
         os.environ[invariants.ENV_STRICT] = "0"
-    if getattr(args, "no_fast_forward", False):
+    if getattr(args, "reference", False):
         # Inherited by pool workers the same way as the strict flag.
-        os.environ[pipeline_core.ENV_FAST_FORWARD] = "0"
-    if getattr(args, "no_replay", False):
-        os.environ[pipeline_core.ENV_REPLAY] = "0"
+        os.environ[pipeline_core.ENV_REFERENCE] = "1"
     if getattr(args, "no_fuse", False):
         # run_cases reads $REPRO_FUSE per batch; the env var also reaches
         # pool workers, matching the other harness toggles.

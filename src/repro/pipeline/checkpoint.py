@@ -54,7 +54,9 @@ __all__ = [
 #: rejected (and evicted by the recovery ladder) instead of misread.
 #: 2: multi-collector snapshots — kwargs carry the collector-spec tuple
 #: and the state holds one collector slot per spec.
-CHECKPOINT_SCHEMA = 2
+#: 3: one engine mode — kwargs carry ``reference`` in place of the four
+#: per-engine toggles.
+CHECKPOINT_SCHEMA = 3
 
 #: First line of every checkpoint file.
 MAGIC = b"REPRO-CKPT\n"

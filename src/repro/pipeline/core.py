@@ -30,7 +30,7 @@ from repro.core.wrongpath import WrongPathMode
 from repro.isa.instructions import Program
 from repro.isa.registers import TOTAL_REGS
 from repro.isa.uops import UopClass
-from repro.memory.hierarchy import MemoryHierarchy, legacy_memory_default
+from repro.memory.hierarchy import MemoryHierarchy
 from repro.pipeline.frontend import Frontend
 from repro.pipeline.inflight import POOL_MUL, InflightUop, UopPool
 from repro.pipeline.replay import ReplayEngine, find_period
@@ -40,35 +40,29 @@ from repro.pipeline.result import SimResult
 #: Safety net against scheduling bugs: no realistic trace needs more cycles.
 _MAX_CYCLES_PER_UOP = 400
 
-#: Environment escape hatch for the quiescent-cycle fast-forward engine.
-#: Set to "0" to force cycle-by-cycle simulation everywhere (including
-#: pool worker processes, which inherit the environment).
-ENV_FAST_FORWARD = "REPRO_FAST_FORWARD"
+#: Set to "1" to select the every-cycle reference path everywhere
+#: (including pool worker processes, which inherit the environment).
+ENV_REFERENCE = "REPRO_REFERENCE"
 
-#: Environment escape hatch for the event-driven issue scheduler.  Set to
-#: "1" to fall back to the legacy full-reservation-station scan (bitwise
-#: identical results; useful for differential testing and bisection).
-#: Inherited by pool worker processes like the other REPRO_* hatches.
-ENV_LEGACY_ISSUE_SCAN = "REPRO_LEGACY_ISSUE_SCAN"
-
-#: Environment escape hatch for the periodic steady-state replay engine.
-#: Set to "0" to disable replay everywhere (including pool workers).
-ENV_REPLAY = "REPRO_REPLAY"
-
-
-def fast_forward_default() -> bool:
-    """Fast-forward setting from the environment (on unless ``"0"``)."""
-    return os.environ.get(ENV_FAST_FORWARD, "1") != "0"
+#: Retired per-engine spellings of the reference path, each at the value
+#: that used to turn its engine off.  ``perfbench/make_golden.py`` still
+#: selects the reference with all four, so any one of them selects the
+#: whole reference mode: no spelling selects a partial mode.
+_RETIRED_REFERENCE_ENV = {
+    "REPRO_LEGACY_MEMORY": "1",
+    "REPRO_FAST_FORWARD": "0",
+    "REPRO_REPLAY": "0",
+    "REPRO_LEGACY_ISSUE_SCAN": "1",
+}
 
 
-def legacy_issue_scan_default() -> bool:
-    """Legacy issue-scan setting from the environment (off unless ``"1"``)."""
-    return os.environ.get(ENV_LEGACY_ISSUE_SCAN, "0") == "1"
-
-
-def replay_default() -> bool:
-    """Replay setting from the environment (on unless ``"0"``)."""
-    return os.environ.get(ENV_REPLAY, "1") != "0"
+def reference_default() -> bool:
+    """Reference-mode setting from the environment (off unless selected)."""
+    env = os.environ
+    return env.get(ENV_REFERENCE) == "1" or any(
+        env.get(name) == value
+        for name, value in _RETIRED_REFERENCE_ENV.items()
+    )
 
 
 class _UopSnapshot:
@@ -155,10 +149,7 @@ class CoreSimulator:
         warmup_instructions: int = 0,
         accounting_width: int | None = None,
         topdown: bool = False,
-        fast_forward: bool | None = None,
-        legacy_issue_scan: bool | None = None,
-        replay: bool | None = None,
-        memory_fast_path: bool | None = None,
+        reference: bool | None = None,
         collectors: "tuple[CollectorSpec, ...] | list[CollectorSpec] | None" = None,
         shared_backend=None,
     ) -> None:
@@ -168,15 +159,14 @@ class CoreSimulator:
         self.config = config
         self.mode = mode
         self._seed = seed
-        # Allocation-free memory fast path + flat-array caches; the
-        # legacy dict-backed walk (REPRO_LEGACY_MEMORY=1 /
-        # memory_fast_path=False) is the differential oracle.  The same
-        # gate governs the stall-streak elision below: legacy mode is the
-        # fully un-optimized cycle-by-cycle reference.
-        self._memory_fast = (
-            not legacy_memory_default()
-            if memory_fast_path is None
-            else memory_fast_path
+        # Two modes, bitwise identical in every simulated number.  The
+        # default is the fast path: the event-driven scheduler, the
+        # flat-array memory and both skip engines (fast-forward, replay).
+        # ``reference=True`` (or REPRO_REFERENCE=1) is the differential
+        # oracle: the full reservation-station scan, the dict-backed
+        # memory walk, and every cycle stepped.
+        self.reference = (
+            reference_default() if reference is None else reference
         )
         # ``shared_backend`` (a SharedMemoryBackend) substitutes a
         # socket-shared L3 + DRAM for the private ones; the multi-core
@@ -185,7 +175,7 @@ class CoreSimulator:
             config.memory,
             perfect_icache=config.perfect_icache,
             perfect_dcache=config.perfect_dcache,
-            fast_path=self._memory_fast,
+            fast_path=not self.reference,
             shared=shared_backend,
         )
         self.predictor = make_predictor(
@@ -289,11 +279,10 @@ class CoreSimulator:
         self._rs_quiet = False
         self._has_correct_waiting = False
         self._issue_obs_cache: tuple = (None, False, False, None, False)
-        # Event-driven issue scheduling (wakeup/select).  The legacy
-        # full-RS scan is kept behind ``legacy_issue_scan=True`` /
-        # REPRO_LEGACY_ISSUE_SCAN=1 for differential verification; both
-        # produce bitwise-identical results.  In event mode ``self.rs``
-        # stays empty and the scheduler state lives in:
+        # Event-driven issue scheduling (wakeup/select, fused into
+        # ``_step_event``); the reference mode scans the full reservation
+        # station instead (``_step`` / ``_issue_scan``).  In event mode
+        # ``self.rs`` stays empty and the scheduler state lives in:
         #   _ready        (seq, uop) entries whose operands are all ready,
         #                 walked in seq order by select; lazily pruned
         #                 (an entry is stale once its uop issued, was
@@ -307,14 +296,7 @@ class CoreSimulator:
         #   _parked       loads waiting on an older same-address store
         #                 (woken by the store's writeback or by a younger
         #                 store taking over the forwarding slot).
-        self._legacy_scan = (
-            legacy_issue_scan_default()
-            if legacy_issue_scan is None
-            else legacy_issue_scan
-        )
-        self._event = not self._legacy_scan
-        self._issue = self._issue_scan if self._legacy_scan else \
-            self._issue_select
+        self._event = not self.reference
         self._ready: list[tuple[int, InflightUop]] = []
         self._nonready: deque[tuple[int, InflightUop]] = deque()
         self._nonready_vfp: deque[tuple[int, InflightUop]] = deque()
@@ -322,24 +304,12 @@ class CoreSimulator:
         self._rs_correct = 0
         self._rs_vfp = 0
         self._parked = 0
-        # Quiescent-cycle fast-forward: when every stage is provably
-        # stalled until a known future event, jump there in one step and
-        # bulk-account the identical cycles.  Bitwise identical results;
-        # ``fast_forward=False`` (or REPRO_FAST_FORWARD=0) forces the
-        # cycle-by-cycle loop.
-        self._fast_forward = (
-            fast_forward_default() if fast_forward is None else fast_forward
-        )
+        # Quiescent-cycle fast-forward (event mode): when every stage is
+        # provably stalled until a known future event, jump there in one
+        # step and bulk-account the identical cycles.  Bitwise identical
+        # results; the counters report every window skipped.
         self.ff_windows = 0
         self.ff_cycles_skipped = 0
-        # Stall-streak elision: even with fast-forward disabled, a
-        # provably-quiescent window can be processed in one step — the
-        # same window logic, minus the ff telemetry (ff_windows /
-        # ff_cycles_skipped stay 0, so ``fast_forward=False`` results are
-        # still reported as cycle-by-cycle).  Bitwise identical by the
-        # same argument as fast-forward itself; gated with the memory
-        # fast path so legacy mode remains a true per-cycle oracle.
-        self._ff_eligible = self._fast_forward or self._memory_fast
         # One observation object reused across cycles (per-cycle
         # allocation dominated short-stall profiles); accountants never
         # retain a reference.
@@ -407,24 +377,15 @@ class CoreSimulator:
         # Periodic steady-state replay: record one loop iteration's worth
         # of accounting once the machine provably reaches a fixed point
         # (modulo a uniform shift), then skip whole periods at a time.
-        # Bitwise identical results; ``replay=False`` / REPRO_REPLAY=0
-        # forces cycle-by-cycle simulation of active loops.  Armed only
-        # in event mode with signature batching (or with accounting off)
-        # and only when the trace itself is periodic.  Like the
-        # fast-forward engine, the memory fast path also arms it with
-        # ``replay=False`` — steady-state periods are then skipped
-        # silently (the telemetry counters stay 0 unless the user asked
-        # for replay), which is sound because replay is bitwise-proven.
+        # Bitwise identical results.  Armed only in event mode with
+        # signature batching (or with accounting off) and only when the
+        # trace itself is periodic; the counters report every period
+        # skipped.
         self.replay_windows = 0
         self.replay_cycles_skipped = 0
-        self._replay_enabled = replay_default() if replay is None else replay
         self._replay: ReplayEngine | None = None
         self._replay_rec = False
-        if (
-            (self._replay_enabled or self._memory_fast)
-            and self._event
-            and (self._batch or self.collector is None)
-        ):
+        if self._event and (self._batch or self.collector is None):
             region = find_period(program)
             if region is not None:
                 self._replay = ReplayEngine(self, region[0], region[1])
@@ -657,10 +618,7 @@ class CoreSimulator:
                     "mode": self.mode,
                     "seed": self._seed,
                     "warmup_instructions": self.warmup_instructions,
-                    "fast_forward": self._fast_forward,
-                    "legacy_issue_scan": self._legacy_scan,
-                    "replay": self._replay_enabled,
-                    "memory_fast_path": self._memory_fast,
+                    "reference": self.reference,
                     # The full collector-spec tuple: restoring a fused
                     # run must bring back *all* attached collectors.
                     "collectors": self._collector_specs,
@@ -800,25 +758,10 @@ class CoreSimulator:
         # stays an implementation detail of this class.
         self.collectors = list(state["collectors"])
         self._rewrap_collector()
-        if state["replay"] is not None and self._replay is not None:
+        # The snapshot carries the mode, so the restored simulator arms
+        # the same engines the saved one had.
+        if self._replay is not None:
             self._replay.restore(state["replay"])
-        elif state["replay"] is not None:
-            # The checkpoint carries engine state but this simulator has
-            # no engine (e.g. a fast-path checkpoint restored under
-            # REPRO_LEGACY_MEMORY).  Dropping it is sound — replay never
-            # changes results, only skips work — but any in-flight
-            # recording is gone, so clear the recording flag with it.
-            self._replay_rec = False
-        elif self._replay is not None:
-            # Conversely the checkpoint was taken with no engine; reset
-            # this simulator's engine to its idle state (it attempts
-            # recording afresh after the restore).
-            self._replay = ReplayEngine(
-                self,
-                self._replay._region_start,
-                self._replay._period,
-            )
-            self._replay_rec = False
         self.hierarchy.restore(state["hierarchy"])
         self.predictor.restore(state["predictor"])
         self.frontend.restore(state["frontend"])
@@ -868,15 +811,9 @@ class CoreSimulator:
             self.cycle = cycle + 1
             return
 
-        if self._fast_forward and self._rs_quiet and not self._rs_dirty:
-            k = self._quiescent_cycles(cycle)
-            if k > 0:
-                self._fast_forward_by(cycle, k, obs)
-                return
-
         self._writeback(cycle)
         self._commit(cycle, obs)
-        self._issue(cycle, obs)
+        self._issue_scan(cycle, obs)
         self._dispatch(cycle, obs)
         if obs is not None:
             # Sample the frontend condition before this cycle's fetch can
@@ -1112,13 +1049,14 @@ class CoreSimulator:
     def _step_event(self) -> None:
         """One cycle of the event-driven pipeline, stages fused inline.
 
-        Semantically identical to :meth:`_step` with the event-mode issue
-        select; the fusion removes per-stage call/observation overhead and
-        enables signature batching: under ``_batch`` the observation
-        object is only materialized when the accountant-visible signature
-        changes, and runs of identical cycles collapse into one
-        ``observe_repeat`` (bit-identical — observe_repeat itself is the
-        proven-equivalent bulk form used by fast-forward).
+        Semantically identical to the reference :meth:`_step`, with an
+        event-driven issue select in place of the full scan; the fusion
+        removes per-stage call/observation overhead and enables signature
+        batching: under ``_batch`` the observation object is only
+        materialized when the accountant-visible signature changes, and
+        runs of identical cycles collapse into one ``observe_repeat``
+        (bit-identical — observe_repeat itself is the proven-equivalent
+        bulk form used by fast-forward).
         """
         cycle = self.cycle
         collector = self.collector
@@ -1161,7 +1099,7 @@ class CoreSimulator:
             self.cycle = cycle + 1
             return
 
-        if self._ff_eligible and self._rs_quiet and not self._rs_dirty:
+        if self._rs_quiet and not self._rs_dirty:
             k = self._quiescent_cycles(cycle)
             if k > 0:
                 self._ff_event(cycle, k)
@@ -1693,20 +1631,18 @@ class CoreSimulator:
             self._end_warmup()
 
     def _ff_event(self, cycle: int, k: int) -> None:
-        """Event-mode fast-forward: jump ``k`` quiescent cycles.
+        """Fast-forward: jump ``k`` quiescent cycles in one step.
 
-        Like :meth:`_fast_forward_by`, but batch-aware: when the window's
-        observation signature matches the pending batch, the ``k`` cycles
-        merge into it instead of forcing a flush on either side.
+        Batch-aware: when the window's observation signature matches the
+        pending batch, the ``k`` cycles merge into it instead of forcing
+        a flush on either side; otherwise they are bulk-accounted through
+        ``observe_repeat``.
         """
         frontend = self.frontend
         room = self._uq_size - len(self.uop_queue)
         frontend.note_skipped_cycles(cycle, k, room > 0)
-        if self._fast_forward:
-            self.ff_windows += 1
-            self.ff_cycles_skipped += k
-        # else: stall-streak elision — the jump is identical but is not
-        # reported as fast-forward (fast_forward=False keeps telemetry 0).
+        self.ff_windows += 1
+        self.ff_cycles_skipped += k
         collector = self.collector
         if collector is not None:
             rob = self.rob
@@ -1859,38 +1795,6 @@ class CoreSimulator:
             return 0  # termination/deadlock: let the normal loop decide
         return int(wake) - cycle
 
-    def _fast_forward_by(
-        self, cycle: int, k: int, obs: CycleObservation | None
-    ) -> None:
-        """Jump ``k`` quiescent cycles in one step, bulk-accounting them."""
-        frontend = self.frontend
-        room = self.config.uop_queue_size - len(self.uop_queue)
-        frontend.note_skipped_cycles(cycle, k, room > 0)
-        self.ff_windows += 1
-        self.ff_cycles_skipped += k
-        if obs is not None:
-            rob = self.rob
-            obs.rob_empty = not rob
-            obs.rob_head = rob[0] if rob else None
-            (
-                obs.first_nonready_producer,
-                obs.structural_stall,
-                obs.vfp_in_rs,
-                obs.oldest_vfp_producer,
-                obs.vfp_structural,
-            ) = self._resolve_issue_obs()
-            obs.rs_empty = not self._has_correct_waiting
-            queue_empty = not self.uop_queue
-            obs.uop_queue_empty = queue_empty
-            obs.window_full = not queue_empty
-            fe_reason = frontend.reason(cycle)
-            obs.fe_reason = fe_reason
-            obs.wrong_path_active = (
-                frontend.wrong_path or fe_reason is Component.BPRED
-            )
-            self.collector.observe_repeat(obs, k)
-        self.cycle = cycle + k
-
     # -- stages -------------------------------------------------------------------
 
     def _writeback(self, cycle: int) -> None:
@@ -1898,7 +1802,6 @@ class CoreSimulator:
         if not finishing:
             return
         self._rs_dirty = True
-        event = self._event
         release = self._pool.release
         for uop in finishing:
             if uop.squashed:
@@ -1912,26 +1815,13 @@ class CoreSimulator:
                 for consumer in consumers:
                     if consumer.squashed:
                         continue
-                    left = consumer.deps_left - 1
-                    consumer.deps_left = left
-                    if left == 0 and event:
-                        self._ready.append((consumer.seq, consumer))
+                    consumer.deps_left -= 1
                     # Sever the back edge so recycling this record cannot
                     # leave a dangling producer reference.  Equivalent for
                     # first_unfinished_producer(): done producers were
                     # skipped anyway.
                     consumer.producers.remove(uop)
                 consumers.clear()
-            waiters = uop.waiters
-            if waiters is not None:
-                # Store completed: loads parked on the address conflict
-                # become schedulable (they re-check forwarding at select).
-                uop.waiters = None
-                for seq, load in waiters:
-                    if load.seq == seq and load.parked:
-                        load.parked = False
-                        self._parked -= 1
-                        self._ready.append((seq, load))
             if uop.mispredicted:
                 self._squash(uop)
                 self.frontend.redirect(cycle)
@@ -1987,10 +1877,10 @@ class CoreSimulator:
             obs.rob_head = rob[0] if rob else None
 
     def _issue_scan(self, cycle: int, obs: CycleObservation | None) -> None:
-        """Legacy issue stage: full reservation-station scan.
+        """Reference issue stage: full reservation-station scan.
 
-        Kept behind ``legacy_issue_scan=True`` / REPRO_LEGACY_ISSUE_SCAN=1
-        as the differential reference for :meth:`_issue_select`.
+        The differential oracle for the event-driven select fused into
+        :meth:`_step_event`.
         """
         # Note: unpipelined-unit releases coincide with their micro-op's
         # completion, so the writeback dirty flag already covers them.
@@ -2190,167 +2080,6 @@ class CoreSimulator:
             entries.popleft()
         return None
 
-    def _issue_select(
-        self, cycle: int, obs: CycleObservation | None
-    ) -> None:
-        """Event-driven issue stage: walk only ready entries.
-
-        Wakeups (writeback, store-conflict resolution) and dispatch push
-        candidates into ``_ready``; select sorts it by seq (cheap — the
-        list is nearly sorted) and walks it greedily, which reproduces the
-        legacy scan's issue decisions and, crucially, its floating-point
-        accumulation order: the issued micro-ops form the same
-        seq-ordered sequence the full scan issued.  Observation fields
-        for non-ready work come from :meth:`_oldest_live` over the
-        incrementally-maintained ``_nonready`` queues instead of a scan.
-        """
-        if self._rs_quiet and not self._rs_dirty:
-            # Nothing changed since a select that issued nothing: the
-            # result is identical.  Fill the observation from the cache.
-            if obs is not None:
-                (
-                    obs.first_nonready_producer,
-                    obs.structural_stall,
-                    obs.vfp_in_rs,
-                    obs.oldest_vfp_producer,
-                    obs.vfp_structural,
-                ) = self._resolve_issue_obs()
-                obs.rs_empty = not self._has_correct_waiting
-            return
-        fu = self.fu
-        machine_lanes = self.config.vector_lanes
-        pending_stores = self.pending_stores
-        free, issue_free, unpipelined = fu.begin_issue(cycle)
-
-        n_issue = 0
-        n_issue_wrong = 0
-        structural = False
-        vfp_structural = False
-        vu_non_vfp = False
-        flops_issued = 0.0
-        n_vfp = 0
-        non_fma_loss = 0.0
-        masked = 0.0
-
-        ready = self._ready
-        if ready:
-            ready.sort()
-            keep: list[tuple[int, InflightUop]] = []
-            keep_append = keep.append
-            parked = self._parked
-            rs_count = self._rs_count
-            rs_correct = self._rs_correct
-            rs_vfp = self._rs_vfp
-            execute = self._execute
-            reserve_mul = fu._reserve_mul
-            for entry in ready:
-                seq, uop = entry
-                if uop.seq != seq or uop.squashed:
-                    continue  # stale: issued+recycled, or squashed
-                static = uop.uop
-                forward_store: InflightUop | None = None
-                if uop.is_load and not uop.wrong_path:
-                    store = pending_stores.get(static.addr)
-                    if (
-                        store is not None
-                        and store.seq < seq
-                        and not store.squashed
-                    ):
-                        if store.done:
-                            forward_store = store
-                        else:
-                            # Address conflict: park on the older store
-                            # (structural 'Other' stall).  The store's
-                            # writeback — or a younger store taking over
-                            # the forwarding slot — re-queues the load.
-                            structural = True
-                            uop.parked = True
-                            parked += 1
-                            if store.waiters is None:
-                                store.waiters = [entry]
-                            else:
-                                store.waiters.append(entry)
-                            continue
-                pool = uop.pool
-                if issue_free > 0 and free[pool] > 0:
-                    latency = execute(uop, cycle, forward_store)
-                    issue_free -= 1
-                    free[pool] -= 1
-                    if pool == POOL_MUL and unpipelined[static.uclass]:
-                        reserve_mul(cycle, latency)
-                    rs_count -= 1
-                    if uop.wrong_path:
-                        n_issue_wrong += 1
-                    else:
-                        n_issue += 1
-                        rs_correct -= 1
-                        ops = uop.ops
-                        if ops:
-                            rs_vfp -= 1
-                            lanes = static.lanes
-                            if lanes > machine_lanes:
-                                lanes = machine_lanes
-                            flops_issued += ops * lanes
-                            n_vfp += 1
-                            non_fma_loss += (2 - ops) * lanes
-                            masked += machine_lanes - lanes
-                        elif uop.is_vu_nonvfp:
-                            vu_non_vfp = True
-                    continue  # issued: leaves the reservation stations
-                structural = True
-                if not uop.wrong_path and uop.ops:
-                    vfp_structural = True
-                keep_append(entry)
-            self._ready = keep
-            self._parked = parked
-            self._rs_count = rs_count
-            self._rs_correct = rs_correct
-            self._rs_vfp = rs_vfp
-        if self._parked:
-            # Parked loads are ready-but-blocked entries the legacy scan
-            # saw as a persistent conflict: structural every cycle.
-            structural = True
-        fu._issue_free = issue_free
-
-        correct_waiting = self._rs_correct
-        vfp_in_rs = self._rs_vfp > 0
-        first_nonready = self._oldest_live(self._nonready)
-        oldest_vfp_nonready = self._oldest_live(self._nonready_vfp)
-        first_producer = (
-            first_nonready.first_unfinished_producer()
-            if first_nonready is not None
-            else None
-        )
-        oldest_vfp_producer = (
-            oldest_vfp_nonready.first_unfinished_producer()
-            if oldest_vfp_nonready is not None
-            else None
-        )
-        self._rs_dirty = False
-        self._rs_quiet = n_issue + n_issue_wrong == 0
-        self._has_correct_waiting = correct_waiting > 0
-        self._issue_obs_cache = (
-            first_producer,
-            structural,
-            vfp_in_rs,
-            oldest_vfp_producer,
-            vfp_structural,
-        )
-        if obs is not None:
-            obs.n_issue = n_issue
-            obs.n_issue_wrong = n_issue_wrong
-            obs.rs_empty = correct_waiting == 0
-            obs.structural_stall = structural
-            obs.first_nonready_producer = first_producer
-            obs.flops_issued = flops_issued
-            obs.n_vfp_issued = n_vfp
-            obs.non_fma_loss_lanes = non_fma_loss
-            obs.masked_lanes = masked
-            obs.vfp_in_rs = vfp_in_rs
-            obs.vu_used_by_non_vfp = vu_non_vfp
-            obs.vfp_structural = vfp_structural
-            obs.oldest_vfp_producer = oldest_vfp_producer
-
     def _execute(
         self,
         uop: InflightUop,
@@ -2401,11 +2130,7 @@ class CoreSimulator:
         rob_size = config.rob_size
         rs_size = config.rs_size
         sq_size = config.store_queue_size
-        event = self._event
         rs_append = self.rs.append
-        ready_append = self._ready.append
-        nonready_append = self._nonready.append
-        nonready_vfp_append = self._nonready_vfp.append
         pending_stores = self.pending_stores
         n = 0
         n_wrong = 0
@@ -2430,41 +2155,11 @@ class CoreSimulator:
             rename(uop)
             rob_append(uop)
             self._rs_count += 1
-            if event:
-                entry = (uop.seq, uop)
-                if uop.deps_left == 0:
-                    ready_append(entry)
-                if not uop.wrong_path:
-                    self._rs_correct += 1
-                    ops = uop.ops
-                    if ops:
-                        self._rs_vfp += 1
-                    if uop.deps_left:
-                        nonready_append(entry)
-                        if ops:
-                            nonready_vfp_append(entry)
-            else:
-                rs_append(uop)
+            rs_append(uop)
             if uop.is_store:
                 self.sq_count += 1
                 if not uop.wrong_path and uop.uop.addr >= 0:
-                    addr = uop.uop.addr
-                    prev = pending_stores.get(addr)
-                    if prev is not None and prev.waiters is not None:
-                        # A younger store takes over the forwarding slot:
-                        # loads parked on the old store no longer conflict
-                        # under the scheduler's older-store test (the new
-                        # store is younger than they are) — wake them so
-                        # they re-check at select, exactly when the legacy
-                        # scan's per-cycle conflict test would evaporate.
-                        waiters = prev.waiters
-                        prev.waiters = None
-                        for wseq, load in waiters:
-                            if load.seq == wseq and load.parked:
-                                load.parked = False
-                                self._parked -= 1
-                                ready_append((wseq, load))
-                    pending_stores[addr] = uop
+                    pending_stores[uop.uop.addr] = uop
             if uop.wrong_path:
                 n_wrong += 1
             else:
@@ -2574,7 +2269,7 @@ class CoreSimulator:
             uop.squashed = True
             releasable.append(uop)
         self.uop_queue.clear()
-        if event and self._memory_fast:
+        if event:
             # Drop issued-but-incomplete squashed records from their
             # completion buckets so their writeback cycles stop pinning
             # the machine active.  Such a writeback only recycles the
@@ -2606,8 +2301,8 @@ class CoreSimulator:
             if dst >= 0:
                 last_writer[dst] = uop
         self.last_writer = last_writer
-        # Recycle after every structure above has been rebuilt: the legacy
-        # RS filter and the rename-table rebuild must still see the
+        # Recycle after every structure above has been rebuilt: the
+        # reference RS filter and the rename-table rebuild must still see the
         # squashed flags/records in place.  (UopPool.release inlined:
         # mispredict-heavy runs recycle most records through here.)
         free_append = self._pool._free.append
@@ -2627,8 +2322,7 @@ def simulate(
     seed: int = 12345,
     warmup_instructions: int = 0,
     topdown: bool = False,
-    fast_forward: bool | None = None,
-    replay: bool | None = None,
+    reference: bool | None = None,
     collectors: "tuple[CollectorSpec, ...] | list[CollectorSpec] | None" = None,
 ) -> SimResult:
     """Convenience wrapper: build a :class:`CoreSimulator` and run it."""
@@ -2640,7 +2334,6 @@ def simulate(
         seed=seed,
         warmup_instructions=warmup_instructions,
         topdown=topdown,
-        fast_forward=fast_forward,
-        replay=replay,
+        reference=reference,
         collectors=collectors,
     ).run()

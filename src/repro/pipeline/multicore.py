@@ -33,7 +33,9 @@ Determinism and soundness rules (see DESIGN.md):
   bound covers the frontend too), in-flight completion times were fixed
   when the requests were issued, and the bound is a pure function of
   core-local state — so skipping the window changes no shared state and
-  no scheduling decision.
+  no scheduling decision.  ``reference=True`` arms neither engine: every
+  core steps every cycle, the oracle the default engine is checked
+  against.
 * The engine holds no hidden state besides the barrier bookkeeping:
   results are a pure function of (programs, config, seeds, kwargs),
   byte-identical across runs, processes, and pool start methods.
@@ -49,8 +51,12 @@ from typing import Sequence
 from repro.config.cores import CoreConfig
 from repro.core.wrongpath import WrongPathMode
 from repro.isa.instructions import Instruction, Program
-from repro.memory.hierarchy import SharedMemoryBackend, legacy_memory_default
-from repro.pipeline.core import _MAX_CYCLES_PER_UOP, CoreSimulator
+from repro.memory.hierarchy import SharedMemoryBackend
+from repro.pipeline.core import (
+    _MAX_CYCLES_PER_UOP,
+    CoreSimulator,
+    reference_default,
+)
 from repro.pipeline.result import SimResult
 
 __all__ = ["MulticoreResult", "MulticoreSimulator"]
@@ -117,10 +123,7 @@ class MulticoreSimulator:
         warmup_instructions: int | Sequence[int] = 0,
         accounting_width: int | None = None,
         topdown: bool = False,
-        fast_forward: bool | None = None,
-        legacy_issue_scan: bool | None = None,
-        replay: bool | None = None,
-        memory_fast_path: bool | None = None,
+        reference: bool | None = None,
         collectors=None,
     ) -> None:
         programs = list(programs)
@@ -151,15 +154,12 @@ class MulticoreSimulator:
             programs[0].name if n == 1 else f"{programs[0].name}(x{n})"
         )
         # One shared back end; every core's hierarchy must agree with its
-        # fast-path flavour, so resolve the flag once here and pass the
-        # resolved value down (MemoryHierarchy raises on a mismatch).
-        resolved_fast = (
-            not legacy_memory_default()
-            if memory_fast_path is None
-            else memory_fast_path
-        )
+        # memory representation, so resolve the mode once here and pass
+        # the resolved value down (MemoryHierarchy raises on a mismatch).
+        if reference is None:
+            reference = reference_default()
         self.backend = SharedMemoryBackend(
-            config.memory, fast_path=resolved_fast
+            config.memory, fast_path=not reference
         )
         self.cores: list[CoreSimulator] = []
         for i, program in enumerate(programs):
@@ -172,10 +172,7 @@ class MulticoreSimulator:
                 warmup_instructions=warmups[i],
                 accounting_width=accounting_width,
                 topdown=topdown,
-                fast_forward=fast_forward,
-                legacy_issue_scan=legacy_issue_scan,
-                replay=replay,
-                memory_fast_path=resolved_fast,
+                reference=reference,
                 collectors=collectors,
                 shared_backend=self.backend,
             )
@@ -183,8 +180,7 @@ class MulticoreSimulator:
             core._barrier_hook = self._on_barrier
             if n > 1:
                 # Periodic replay is unsound under sharing (a skipped
-                # period skips this core's shared-level traffic); the
-                # memory fast path arms it even with replay=False, so
+                # period skips this core's shared-level traffic), so
                 # disarm the engine outright.  1-core keeps it: the
                 # identity guarantee must hold over the optimized path.
                 core._replay = None
@@ -195,18 +191,14 @@ class MulticoreSimulator:
         self._barrier_wait: dict[int, tuple[int, int]] = {}
         self._done = [False] * n
         # Resolved construction arguments, snapshotted verbatim so a
-        # checkpoint restores under the same optimization flags even if
-        # the environment changed in between (mirrors CoreSimulator).
-        core0 = self.cores[0]
+        # checkpoint restores in the same mode even if the environment
+        # changed in between (mirrors CoreSimulator).
         self._engine_kwargs = {
             "mode": mode,
             "seeds": seeds,
             "warmup_instructions": warmups,
-            "fast_forward": core0._fast_forward,
-            "legacy_issue_scan": core0._legacy_scan,
-            "replay": core0._replay_enabled,
-            "memory_fast_path": core0._memory_fast,
-            "collectors": core0._collector_specs,
+            "reference": reference,
+            "collectors": self.cores[0]._collector_specs,
         }
 
     # -- barrier protocol --------------------------------------------------------

@@ -36,9 +36,9 @@ The engine works in three phases:
    bulk-replayed with bitwise-exact arithmetic.
 
 Results are bitwise identical to the cycle-by-cycle run by construction;
-``tests/test_replay.py`` verifies this differentially.  Escape hatches
-mirror the fast-forward engine's: ``replay=False`` / ``REPRO_REPLAY=0`` /
-``--no-replay``.
+``tests/test_reference.py`` verifies this differentially against the
+reference mode (``reference=True`` / ``REPRO_REFERENCE=1`` /
+``--reference``), which arms neither skip engine and steps every cycle.
 """
 
 from __future__ import annotations
@@ -484,13 +484,8 @@ class ReplayEngine:
         sim.fu.shift_time(cycle, jump)
         sim.hierarchy.shift_time(cycle, jump)
 
-        if sim._replay_enabled:
-            # Telemetry only counts user-requested replay: the memory
-            # fast path arms the engine silently (results are bitwise
-            # identical either way), and ``replay=False`` runs must
-            # keep reporting zero windows.
-            sim.replay_windows += 1
-            sim.replay_cycles_skipped += jump
+        sim.replay_windows += 1
+        sim.replay_cycles_skipped += jump
         return jump
 
     def _feed(self, k: int) -> None:

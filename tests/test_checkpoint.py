@@ -10,9 +10,9 @@ The contract under test has three layers:
 2. **Bitwise-identical restart** — a simulation interrupted at a
    checkpoint and resumed from disk must finish with a ``SimResult``
    identical (everything but host wall time) to an uninterrupted run, in
-   every wrong-path mode, with and without warmup, and with the
-   fast-forward/replay engines on or off.  The differential matrix here
-   enforces that.
+   every wrong-path mode, with and without warmup, in both the default
+   mode (skip engines armed) and the reference mode.  The differential
+   matrix here enforces that.
 3. **Supervised recovery** — a case whose worker is SIGKILLed mid-run is
    retried *from its newest checkpoint* (not from scratch), a corrupt
    checkpoint is evicted down the recovery ladder (older file, else
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import os
+import pickle
 
 import pytest
 
@@ -148,18 +149,45 @@ def test_load_rejects_truncated_header(tmp_path):
         ckpt.load_checkpoint(torn)
 
 
-def test_load_rejects_wrong_schema(tmp_path):
-    path = tmp_path / "old.rck"
-    ckpt.save_checkpoint(path, b"data", {})
+def _rewrite_schema(path, schema: int) -> None:
     blob = path.read_bytes()
     newline = blob.find(b"\n", len(ckpt.MAGIC))
     header = json.loads(blob[len(ckpt.MAGIC):newline])
-    header["schema"] = ckpt.CHECKPOINT_SCHEMA + 999
+    header["schema"] = schema
     path.write_bytes(
         ckpt.MAGIC + json.dumps(header).encode() + b"\n" + blob[newline + 1:]
     )
+
+
+def test_load_rejects_wrong_schema(tmp_path):
+    path = tmp_path / "old.rck"
+    ckpt.save_checkpoint(path, b"data", {})
+    _rewrite_schema(path, ckpt.CHECKPOINT_SCHEMA + 999)
     with pytest.raises(CheckpointError, match="schema"):
         ckpt.load_checkpoint(path)
+
+    # A schema-2 snapshot, whose kwargs carry the four retired engine
+    # toggles, is evicted by the recovery ladder: the job restarts fresh
+    # and still produces the bitwise-identical result.
+    spec = _spec()
+    clean = runner.run_spec(spec, use_cache=False)
+    (old,) = _seed_checkpoints(spec, count=1)
+    payload, meta = ckpt.load_checkpoint(old)
+    data = pickle.loads(payload)
+    del data["kwargs"]["reference"]
+    data["kwargs"].update({
+        "fast_forward": True, "legacy_issue_scan": False, "replay": True,
+        "memory_fast_path": True,
+    })
+    ckpt.save_checkpoint(old, pickle.dumps(data), meta)
+    _rewrite_schema(old, 2)
+    TELEMETRY.reset()
+    (result,), resumed_from = runner.execute_job(Job((spec,)), 400)
+    assert resumed_from is None, "the schema-2 snapshot was resumed"
+    assert TELEMETRY.resume_events == 0
+    assert _comparable(result) == _comparable(clean)
+    for path in ckpt.list_case_checkpoints(spec.key()):
+        ckpt.load_checkpoint(path)  # only fresh schema-3 rungs remain
 
 
 def test_load_rejects_truncated_payload(tmp_path):
@@ -276,23 +304,26 @@ def test_resume_bitwise_identical_across_modes(mode, warmup):
     assert _comparable(resumed) == _comparable(reference)
 
 
-@pytest.mark.parametrize("fast_forward", [False, True])
-@pytest.mark.parametrize("replay", [False, True])
-def test_resume_bitwise_identical_with_skip_engines(fast_forward, replay):
+@pytest.mark.parametrize("topdown", [False, True])
+@pytest.mark.parametrize("reference", [False, True])
+def test_resume_bitwise_identical_with_skip_engines(reference, topdown):
     """The quiescent fast-forward and steady-state replay engines carry
     mid-flight state (recorded windows, skip counters) that must survive
     the snapshot — including their telemetry, which ``_comparable`` here
-    deliberately does *not* exclude."""
+    deliberately does *not* exclude.  The reference mode arms neither
+    engine and must resume with its counters still zero.  Top-down
+    collection adds per-cycle slot state that the skipped windows must
+    bring across the snapshot as well."""
     trace = make_trace("spin", N, 1)
     config = broadwell()
-    reference = CoreSimulator(
-        trace, config, fast_forward=fast_forward, replay=replay
+    straight = CoreSimulator(
+        trace, config, reference=reference, topdown=topdown
     ).run()
     resumed = _run_interrupted_then_resumed(
-        trace, config, key=f"skip-{fast_forward}-{replay}",
-        fast_forward=fast_forward, replay=replay,
+        trace, config, key=f"skip-{reference}-{topdown}",
+        reference=reference, topdown=topdown,
     )
-    assert _comparable(resumed) == _comparable(reference)
+    assert _comparable(resumed) == _comparable(straight)
 
 
 @pytest.mark.parametrize("workload,preset", [
@@ -331,7 +362,7 @@ def test_resume_from_inside_warmup_region():
 @pytest.mark.parametrize("kwargs,key", [
     ({"topdown": True}, "variant-topdown"),
     ({"accounting": False}, "variant-noacct"),
-    ({"legacy_issue_scan": True}, "variant-legacy"),
+    ({"reference": True}, "variant-legacy"),
 ])
 def test_resume_bitwise_identical_simulator_variants(kwargs, key):
     trace = make_trace("bwaves", N, 1)

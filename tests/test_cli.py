@@ -32,14 +32,15 @@ def test_parser_harness_flags():
     parser = build_parser()
     args = parser.parse_args(
         ["table1", "--jobs", "2", "--case-timeout", "1.5", "--keep-going",
-         "--no-strict"]
+         "--no-strict", "--reference"]
     )
     assert args.jobs == 2
     assert args.case_timeout == 1.5
-    assert args.keep_going and args.no_strict
+    assert args.keep_going and args.no_strict and args.reference
     defaults = parser.parse_args(["fig5"])
     assert defaults.case_timeout is None
     assert not defaults.keep_going and not defaults.no_strict
+    assert not defaults.reference
 
 
 def test_parser_rejects_unknown_workload():
@@ -218,24 +219,29 @@ def test_no_strict_flag_disables_guard(capsys):
     capsys.readouterr()
 
 
-def test_no_fast_forward_flag_sets_env(capsys):
+def test_reference_flag_sets_env(capsys, tmp_path, monkeypatch):
     import os
 
-    from repro.pipeline.core import ENV_FAST_FORWARD, fast_forward_default
+    from repro.pipeline.core import ENV_REFERENCE, reference_default
 
-    previous = os.environ.pop(ENV_FAST_FORWARD, None)
-    try:
-        code = main(["run", "--workload", "exchange2", "--core", "tiny",
-                     "--instructions", "2000", "--no-fast-forward"])
-        assert code == 0
-        assert os.environ.get(ENV_FAST_FORWARD) == "0", (
-            "workers must inherit the escape hatch via the environment"
-        )
-        assert fast_forward_default() is False
-    finally:
-        os.environ.pop(ENV_FAST_FORWARD, None)
-        if previous is not None:
-            os.environ[ENV_FAST_FORWARD] = previous
+    # Recorded so teardown removes the variable main() sets.
+    monkeypatch.setenv(ENV_REFERENCE, "0")
+    code = main(["run", "--workload", "exchange2", "--core", "tiny",
+                 "--instructions", "2000", "--reference"])
+    assert code == 0
+    assert os.environ.get(ENV_REFERENCE) == "1", (
+        "workers must inherit the reference mode via the environment"
+    )
+    assert reference_default() is True
+    assert "skipped:" not in capsys.readouterr().out
+
+    monkeypatch.chdir(tmp_path)
+    code = main(["profile", "exchange2", "--core", "tiny",
+                 "--instructions", "1500", "--reference"])
+    assert code == 0
+    text = (tmp_path / "results" / "profile_exchange2.txt").read_text()
+    assert text.splitlines()[0].endswith(" --reference")
+    assert "_issue_scan" in text and "_step_event" not in text
     capsys.readouterr()
 
 

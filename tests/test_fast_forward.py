@@ -1,13 +1,13 @@
-"""Quiescent-cycle fast-forward: bitwise equivalence and unit behaviour.
+"""Quiescent-cycle fast-forward: engagement and unit behaviour.
 
 The engine's contract is that skipping provably-stalled cycles changes
-*nothing* observable: every ``SimResult`` field (cycles, stacks, cache
-stats, top-down report) must be bit-for-bit identical to the
-cycle-by-cycle loop, in every wrong-path mode, with and without warmup.
-The differential matrix here enforces that; the unit tests pin down the
-per-accountant ``observe_repeat`` equivalence (including the
-width-normalizer carry drain and the active-observation fallback) and
-the ``next_event`` queries the window bound is built from.
+*nothing* observable.  ``tests/test_reference.py`` enforces that against
+the every-cycle reference mode; the tests here are this engine's view of
+that matrix (the windows engage on the default path and never on the
+reference), plus unit tests pinning down the per-accountant
+``observe_repeat`` equivalence (including the width-normalizer carry
+drain and the active-observation fallback) and the ``next_event``
+queries the window bound is built from.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import math
 
 import pytest
 
-from repro.config.presets import broadwell, knights_landing
+from repro.config.presets import broadwell
 from repro.core.commit import CommitAccountant
 from repro.core.components import Component
 from repro.core.dispatch import DispatchAccountant
@@ -27,96 +27,77 @@ from repro.core.observation import CycleObservation
 from repro.core.topdown import TopDownAccountant
 from repro.core.wrongpath import WrongPathMode
 from repro.memory.hierarchy import MemoryHierarchy
-from repro.pipeline.core import (
-    ENV_FAST_FORWARD,
-    CoreSimulator,
-    fast_forward_default,
-    simulate,
-)
+from repro.pipeline.core import ENV_REFERENCE, CoreSimulator, simulate
 from repro.workloads.registry import make_trace
-
-N = 2_000
-
-
-def _comparable(result) -> dict:
-    """Everything that must be identical (host-side telemetry excluded)."""
-    payload = result.to_dict()
-    for key in ("wall_seconds", "ff_windows", "ff_cycles_skipped",
-                "replay_windows", "replay_cycles_skipped"):
-        payload.pop(key)
-    return payload
-
-
-def _run_pair(workload, config, *, mode=WrongPathMode.EXACT, warmup=0,
-              topdown=False, n=N):
-    trace = make_trace(workload, n, 1)
-    on = CoreSimulator(trace, config, mode=mode, topdown=topdown,
-                       warmup_instructions=warmup, fast_forward=True)
-    off = CoreSimulator(trace, config, mode=mode, topdown=topdown,
-                        warmup_instructions=warmup, fast_forward=False)
-    return on, on.run(), off, off.run()
+from tests.test_reference import (
+    PRESET_BY_NAME,
+    comparable,
+    reference_pair,
+)
 
 
 # ---------------------------------------------------------------------------
-# differential matrix: ff on == ff off, bit for bit
+# the engine's cells of the reference matrix
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("workload", ["mcf", "bwaves"])
-@pytest.mark.parametrize("preset", [broadwell, knights_landing])
+@pytest.mark.parametrize("preset", ["broadwell", "knights_landing"])
 @pytest.mark.parametrize("mode", list(WrongPathMode))
 @pytest.mark.parametrize("warmup", [0, 200])
 def test_fast_forward_bitwise_identical(workload, preset, mode, warmup):
-    on, res_on, off, res_off = _run_pair(
-        workload, preset(), mode=mode, warmup=warmup
+    default, reference = reference_pair(
+        workload, PRESET_BY_NAME[preset], mode, warmup
     )
-    assert _comparable(res_on) == _comparable(res_off)
-    assert on.ff_cycles_skipped > 0, "fast-forward never engaged"
-    assert off.ff_windows == 0 and off.ff_cycles_skipped == 0
+    assert comparable(default) == comparable(reference)
+    assert default.ff_cycles_skipped > 0, "fast-forward never engaged"
+    assert reference.ff_windows == reference.ff_cycles_skipped == 0
 
 
 def test_fast_forward_identical_with_topdown():
-    _, res_on, _, res_off = _run_pair("mcf", broadwell(), topdown=True)
-    assert _comparable(res_on) == _comparable(res_off)
-    assert res_on.report is not None and res_on.report.topdown is not None
+    default, reference = reference_pair("mcf", "bdw", topdown=True)
+    assert comparable(default) == comparable(reference)
+    assert default.report is not None and default.report.topdown is not None
 
 
 def test_memory_bound_trace_skips_most_cycles():
-    on, res_on, _, res_off = _run_pair("chase", broadwell())
-    assert _comparable(res_on) == _comparable(res_off)
+    default, reference = reference_pair("chase", "bdw")
+    assert comparable(default) == comparable(reference)
     # The DRAM-latency pointer chase is the engine's best case: the
     # overwhelming majority of cycles sit inside quiescent windows.
-    assert on.ff_cycles_skipped > 0.9 * res_on.cycles
+    assert default.ff_cycles_skipped > 0.9 * default.cycles
 
 
 # ---------------------------------------------------------------------------
-# escape hatches
+# mode selection
 # ---------------------------------------------------------------------------
 
 
 def test_fast_forward_param_disables_engine():
     trace = make_trace("chase", 1_000, 1)
-    sim = CoreSimulator(trace, broadwell(), fast_forward=False)
+    sim = CoreSimulator(trace, broadwell(), reference=True)
     sim.run()
     assert sim.ff_windows == 0 and sim.ff_cycles_skipped == 0
 
 
 def test_fast_forward_env_default(monkeypatch):
-    monkeypatch.delenv(ENV_FAST_FORWARD, raising=False)
-    assert fast_forward_default() is True
-    monkeypatch.setenv(ENV_FAST_FORWARD, "0")
-    assert fast_forward_default() is False
     trace = make_trace("chase", 1_000, 1)
-    sim = CoreSimulator(trace, broadwell())  # fast_forward=None -> env
+    monkeypatch.setenv(ENV_REFERENCE, "0")
+    sim = CoreSimulator(trace, broadwell())  # reference=None -> env
+    sim.run()
+    assert sim.ff_windows > 0
+    monkeypatch.setenv(ENV_REFERENCE, "1")
+    sim = CoreSimulator(trace, broadwell())
     sim.run()
     assert sim.ff_windows == 0
 
 
 def test_simulate_wrapper_passes_fast_forward_through():
     trace = make_trace("chase", 1_000, 1)
-    res_on = simulate(trace, broadwell(), fast_forward=True)
-    res_off = simulate(trace, broadwell(), fast_forward=False)
-    assert _comparable(res_on) == _comparable(res_off)
+    res_on = simulate(trace, broadwell(), reference=False)
+    res_off = simulate(trace, broadwell(), reference=True)
+    assert comparable(res_on) == comparable(res_off)
+    assert res_on.ff_windows > 0 and res_off.ff_windows == 0
 
 
 # ---------------------------------------------------------------------------

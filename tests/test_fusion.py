@@ -34,6 +34,7 @@ from repro.experiments import runner, supervisor
 from repro.experiments.cache import TELEMETRY, CaseSpec, Job
 from repro.experiments.parallel import run_cases, run_multicore_cases
 from repro.pipeline import checkpoint as ckpt
+from repro.pipeline.core import ENV_REFERENCE
 
 N = 2500
 
@@ -172,18 +173,16 @@ def test_fused_matches_unfused_across_machines(
             )
 
 
-@pytest.mark.parametrize(
-    "fast_forward, replay",
-    [("0", "0"), ("1", "0"), ("1", "1")],
-)
-def test_fused_matches_unfused_with_skip_engines(
-    monkeypatch, fast_forward, replay
-):
-    monkeypatch.setenv("REPRO_FAST_FORWARD", fast_forward)
-    monkeypatch.setenv("REPRO_REPLAY", replay)
-    # ``spin`` has quiescent and steady-state stretches the skip engines
-    # actually engage on.
-    specs = _variant_specs("spin", "tiny", warmup_fraction=0.2)
+@pytest.mark.parametrize("warmup", [0, 1])
+@pytest.mark.parametrize("reference", ["0", "1"])
+def test_fused_matches_unfused_with_skip_engines(monkeypatch, reference, warmup):
+    monkeypatch.setenv(ENV_REFERENCE, reference)
+    # ``spin`` has quiescent and steady-state stretches the default
+    # path's skip engines actually engage on; with warmup they also
+    # straddle the measured-region boundary.
+    specs = _variant_specs(
+        "spin", "tiny", warmup_fraction=0.2 if warmup else 0.0
+    )
     unfused, fused = _run_both_ways(specs)
     for spec, a, b in zip(specs, unfused, fused):
         assert _comparable(a) == _comparable(b), spec.label()
@@ -285,8 +284,7 @@ def test_timing_oracle_collector_count_invariance(mode, warmup):
 
 
 def test_timing_oracle_with_skip_engines(monkeypatch):
-    monkeypatch.setenv("REPRO_FAST_FORWARD", "1")
-    monkeypatch.setenv("REPRO_REPLAY", "1")
+    monkeypatch.setenv(ENV_REFERENCE, "0")
     test_timing_oracle_collector_count_invariance(WrongPathMode.EXACT, 0.2)
 
 

@@ -3,30 +3,30 @@
 The scheduler rewrite (writeback wakeups feeding a seq-ordered ready
 structure, pooled ``InflightUop`` records, memoized decode, signature-
 batched accounting) must be observationally invisible: every cell of the
-workloads x configs x wrong-path-modes x warmup x fast-forward matrix
-must produce a ``SimResult`` bit-for-bit identical to the legacy
-full-RS-scan scheduler (``legacy_issue_scan=True``).
+workloads x configs x wrong-path-modes x warmup matrix must produce a
+``SimResult`` bit-for-bit identical to the reference mode's full-RS
+scan.  ``tests/test_reference.py`` owns that matrix; the differentials
+here are the scheduler's view of it.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.config.presets import broadwell, knights_landing
+from repro.config.presets import broadwell
 from repro.core.commit import CommitAccountant
 from repro.core.components import Component
 from repro.core.observation import CycleObservation
 from repro.core.wrongpath import WrongPathMode
 from repro.isa import decoder as asm
 from repro.isa.uops import MicroOp, UopClass
-from repro.pipeline.core import CoreSimulator
+from repro.pipeline.core import ENV_REFERENCE, CoreSimulator
 from repro.pipeline.inflight import POOL_ALU, POOL_LOAD, UopPool
 from repro.workloads.base import DATA_BASE, TraceBuilder
 from repro.workloads.registry import make_trace
+from tests.test_reference import comparable, reference_pair
 
-CONFIGS = {"bdw": broadwell, "knl": knights_landing}
-
-#: Cached traces: building one per matrix cell would dominate runtime.
+#: Cached traces: building one per test would dominate runtime.
 _TRACES: dict[str, object] = {}
 
 
@@ -37,26 +37,8 @@ def _trace(workload: str, instructions: int = 2500):
     return _TRACES[key]
 
 
-def _result_dict(trace, cfg_fn, *, mode, warmup, fast_forward, legacy):
-    sim = CoreSimulator(
-        trace,
-        cfg_fn(),
-        mode=mode,
-        warmup_instructions=warmup,
-        fast_forward=fast_forward,
-        legacy_issue_scan=legacy,
-    )
-    data = sim.run().to_dict()
-    # Host-side telemetry: the replay engine only arms on the batched
-    # event path, so its counters legitimately differ from legacy runs.
-    for key in ("wall_seconds", "ff_windows", "ff_cycles_skipped",
-                "replay_windows", "replay_cycles_skipped"):
-        data.pop(key, None)
-    return data
-
-
 # ---------------------------------------------------------------------------
-# Differential matrix: event scheduler vs legacy full-RS scan
+# Differential matrix: event scheduler vs the reference full-RS scan
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("workload", ["mcf", "exchange2"])
@@ -67,24 +49,18 @@ def _result_dict(trace, cfg_fn, *, mode, warmup, fast_forward, legacy):
 def test_bitwise_identical_to_legacy_scan(
     workload, cfg, mode, warmup, fast_forward
 ):
-    trace = _trace(workload)
-    kwargs = dict(mode=mode, warmup=warmup, fast_forward=fast_forward)
-    event = _result_dict(trace, CONFIGS[cfg], legacy=False, **kwargs)
-    legacy = _result_dict(trace, CONFIGS[cfg], legacy=True, **kwargs)
-    assert event == legacy
+    # ``fast_forward`` is vestigial: the default path always skips, so
+    # both of its values name the same reference-matrix cell.
+    default, reference = reference_pair(workload, cfg, mode, warmup, n=2_500)
+    assert comparable(default) == comparable(reference)
 
 
 @pytest.mark.parametrize("workload", ["bwaves", "povray", "chase"])
 def test_bitwise_identical_additional_workloads(workload):
     """Spot checks widening workload coverage (vector FP, microcode,
     DRAM-latency pointer chase) on the default cell."""
-    trace = _trace(workload)
-    kwargs = dict(
-        mode=WrongPathMode.EXACT, warmup=0, fast_forward=True
-    )
-    event = _result_dict(trace, broadwell, legacy=False, **kwargs)
-    legacy = _result_dict(trace, broadwell, legacy=True, **kwargs)
-    assert event == legacy
+    default, reference = reference_pair(workload, "bdw", n=2_500)
+    assert comparable(default) == comparable(reference)
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +125,7 @@ def test_acquire_classifies_load_from_recycled_alu():
 def test_pool_records_enter_free_list_clean_after_full_run():
     """End-to-end invariant: every record parked in the free list after a
     mispredict-heavy run has severed edges and cleared scheduler state."""
-    sim = CoreSimulator(_trace("mcf"), broadwell(), fast_forward=True)
+    sim = CoreSimulator(_trace("mcf"), broadwell(), reference=False)
     sim.run()
     free = sim._pool._free
     assert free  # pooling actually engaged
@@ -196,7 +172,7 @@ def test_wrong_path_synthesis_leaves_decode_memo_consistent():
     a mispredict-heavy run every entry still maps its pc to the live
     Instruction and to exactly the rows a fresh decode produces."""
     trace = _trace("mcf")
-    sim = CoreSimulator(trace, broadwell(), fast_forward=True)
+    sim = CoreSimulator(trace, broadwell(), reference=False)
     sim.run()
     fe = sim.frontend
     assert fe.delivered_wrong > 0  # wrong-path delivery actually ran
@@ -212,15 +188,13 @@ def test_wrong_path_synthesis_leaves_decode_memo_consistent():
 
 def test_legacy_env_var_selects_the_scan_scheduler(monkeypatch):
     trace = _trace("exchange2")
-    monkeypatch.setenv("REPRO_LEGACY_ISSUE_SCAN", "1")
+    monkeypatch.setenv(ENV_REFERENCE, "1")
     assert CoreSimulator(trace, broadwell())._event is False
-    monkeypatch.setenv("REPRO_LEGACY_ISSUE_SCAN", "0")
+    monkeypatch.setenv(ENV_REFERENCE, "0")
     assert CoreSimulator(trace, broadwell())._event is True
     # The explicit kwarg wins over the environment.
-    monkeypatch.setenv("REPRO_LEGACY_ISSUE_SCAN", "1")
-    assert CoreSimulator(
-        trace, broadwell(), legacy_issue_scan=False
-    )._event is True
+    monkeypatch.setenv(ENV_REFERENCE, "1")
+    assert CoreSimulator(trace, broadwell(), reference=False)._event is True
 
 
 def test_signature_batching_gated_to_exact_event_mode():
@@ -233,7 +207,7 @@ def test_signature_batching_gated_to_exact_event_mode():
         trace, broadwell(), mode=WrongPathMode.SPECULATIVE
     )._batch is False
     assert CoreSimulator(
-        trace, broadwell(), legacy_issue_scan=True
+        trace, broadwell(), reference=True
     )._batch is False
     assert CoreSimulator(
         trace, broadwell(), accounting=False

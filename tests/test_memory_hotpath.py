@@ -1,21 +1,19 @@
 """Allocation-free memory fast path: differential proof vs the legacy walk.
 
 The memory subsystem's common case (TLB hit + L1 hit, flat array-backed
-sets) and the machine-level optimizations gated with it (stall-streak
-elision, silent replay arming, the per-signature accounting delta cache)
-must be *bitwise invisible*: every architectural number in a
+sets) must be *bitwise invisible*: every architectural number in a
 ``SimResult`` — cycles, CPI/FLOPS stacks, cache/TLB/predictor stats —
-must match the legacy dict-backed reference walk
-(``REPRO_LEGACY_MEMORY=1`` / ``memory_fast_path=False``) exactly.
+must match the reference mode (``reference=True`` /
+``REPRO_REFERENCE=1``), whose memory is the legacy dict-backed walk.
 
 Four layers of evidence:
 
-1. **End-to-end matrix** — workloads × presets × wrong-path modes ×
-   warmup × fast-forward/replay/fusion, fast vs legacy, bit for bit.
-2. **Mid-run checkpoint/resume** — an interrupted fast-path run resumed
-   from disk equals the legacy uninterrupted run; a snapshot written by
-   one representation restores into the *other* (the snapshot schema is
-   representation-stable).
+1. **End-to-end cells** — this module's view of the reference matrix in
+   ``tests/test_reference.py`` (workloads × presets × wrong-path modes ×
+   warmup), plus fusion, seeds and mid-run checkpoint/resume against the
+   reference.
+2. **Representation-stable snapshots** — a hierarchy snapshot written
+   by one representation restores into the *other* mid-stream.
 3. **Structure-level differential** — randomized op sequences through
    the flat ``Cache``/``Tlb`` and the dict-backed ``LegacyCache``/
    ``LegacyTlb`` oracles, comparing fingerprints and stats at every step.
@@ -29,7 +27,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import pickle
 import random
 
 import pytest
@@ -41,20 +38,21 @@ from repro.config.cores import (
     PrefetcherConfig,
     TlbConfig,
 )
-from repro.config.presets import broadwell, knights_landing
+from repro.config.presets import broadwell
 from repro.core.multistage import CollectorSpec
 from repro.core.wrongpath import WrongPathMode
 from repro.memory.cache import Cache
-from repro.memory.hierarchy import (
-    ENV_LEGACY_MEMORY,
-    MemoryHierarchy,
-    legacy_memory_default,
-)
+from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.legacy import LegacyCache, LegacyTlb
 from repro.memory.tlb import Tlb
 from repro.pipeline import checkpoint as ckpt
-from repro.pipeline.core import CoreSimulator
+from repro.pipeline.core import ENV_REFERENCE, CoreSimulator
 from repro.workloads.registry import make_trace
+from tests.test_reference import (
+    PRESET_BY_NAME,
+    comparable,
+    reference_pair,
+)
 
 N = 2_000
 
@@ -68,82 +66,45 @@ def _clean_checkpoints():
     ckpt.clear_checkpoints()
 
 
-def _comparable(result) -> dict:
-    """Everything that must be identical (host-side telemetry excluded).
-
-    The skip-engine window counters legitimately differ: the fast path
-    arms elision/replay where the legacy reference simulates every
-    cycle.  Every architectural field must still match bit for bit.
-    """
-    payload = result.to_dict()
-    for key in ("wall_seconds", "ff_windows", "ff_cycles_skipped",
-                "replay_windows", "replay_cycles_skipped"):
-        payload.pop(key)
-    return payload
-
-
-def _pair(workload, config_fn, *, n=N, **kwargs):
-    """One fast-path run and one legacy-oracle run, same kwargs."""
-    trace = make_trace(workload, n, 1)
-    fast = CoreSimulator(
-        trace, config_fn(), memory_fast_path=True, **kwargs
-    ).run()
-    legacy = CoreSimulator(
-        trace, config_fn(), memory_fast_path=False, **kwargs
-    ).run()
-    return fast, legacy
-
-
 # ---------------------------------------------------------------------------
-# 1. end-to-end differential matrix
+# 1. end-to-end cells of the reference matrix
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)
-@pytest.mark.parametrize("preset", [broadwell, knights_landing])
+@pytest.mark.parametrize("preset", ["broadwell", "knights_landing"])
 @pytest.mark.parametrize("mode", list(WrongPathMode))
 def test_fast_path_bitwise_identical(workload, preset, mode):
-    fast, legacy = _pair(workload, preset, mode=mode, fast_forward=False)
-    assert _comparable(fast) == _comparable(legacy)
+    default, reference = reference_pair(
+        workload, PRESET_BY_NAME[preset], mode
+    )
+    assert comparable(default) == comparable(reference)
 
 
 @pytest.mark.parametrize("workload", ["mcf", "bwaves"])
-@pytest.mark.parametrize("preset", [broadwell, knights_landing])
+@pytest.mark.parametrize("preset", ["broadwell", "knights_landing"])
 @pytest.mark.parametrize("warmup", [100, 350])
 def test_fast_path_identical_with_warmup(workload, preset, warmup):
-    fast, legacy = _pair(
-        workload, preset, warmup_instructions=warmup, fast_forward=False
+    default, reference = reference_pair(
+        workload, PRESET_BY_NAME[preset], warmup=warmup
     )
-    assert _comparable(fast) == _comparable(legacy)
+    assert comparable(default) == comparable(reference)
 
 
 @pytest.mark.parametrize("workload", ["mcf", "spin", "chase"])
-@pytest.mark.parametrize(
-    "engines",
-    [
-        {"fast_forward": True, "replay": False},
-        {"fast_forward": False, "replay": True},
-        {"fast_forward": True, "replay": True},
-    ],
-    ids=["ff", "replay", "both"],
-)
+@pytest.mark.parametrize("engines", ["ff", "replay", "both"])
 def test_fast_path_identical_under_skip_engines(workload, engines):
-    """The fast path composes with both skip engines, and the composed
-    run still equals the fully cycle-by-cycle legacy reference."""
-    trace = make_trace(workload, N, 1)
-    fast = CoreSimulator(
-        trace, broadwell(), memory_fast_path=True, **engines
-    ).run()
-    reference = CoreSimulator(
-        trace, broadwell(), memory_fast_path=False,
-        fast_forward=False, replay=False,
-    ).run()
-    assert _comparable(fast) == _comparable(reference)
+    """The default path runs both skip engines over the fast memory, and
+    still equals the reference.  ``engines`` is vestigial: the engines
+    are no longer switched one at a time, so all three values name the
+    same reference-matrix cell."""
+    default, reference = reference_pair(workload, "bdw")
+    assert comparable(default) == comparable(reference)
 
 
 def test_fast_path_identical_under_fusion():
-    """Every member of a fused multi-collector fast-path run equals its
-    unfused legacy single-collector twin."""
+    """Every member of a fused multi-collector default run equals its
+    unfused single-collector reference twin."""
     trace = make_trace("mcf", N, 1)
     specs = (
         CollectorSpec(),
@@ -151,7 +112,7 @@ def test_fast_path_identical_under_fusion():
         CollectorSpec(accounting_width=2),
     )
     fused = CoreSimulator(
-        trace, broadwell(), memory_fast_path=True, collectors=specs
+        trace, broadwell(), reference=False, collectors=specs
     )
     fused.run()
     single_kwargs = [
@@ -160,109 +121,112 @@ def test_fast_path_identical_under_fusion():
         {"accounting_width": 2},
     ]
     for member, kwargs in zip(fused.fused_results, single_kwargs):
-        legacy = CoreSimulator(
-            trace, broadwell(), memory_fast_path=False, **kwargs
+        reference = CoreSimulator(
+            trace, broadwell(), reference=True, **kwargs
         ).run()
-        assert _comparable(member) == _comparable(legacy)
+        assert comparable(member) == comparable(reference)
 
 
 def test_fast_path_identical_across_seeds():
     """Wrong-path synthesis consumes the same RNG stream on both paths."""
     for seed in (1, 99, 424242):
         trace = make_trace("mcf", N, 1)
-        fast = CoreSimulator(
-            trace, broadwell(), memory_fast_path=True, seed=seed
-        ).run()
-        legacy = CoreSimulator(
-            trace, broadwell(), memory_fast_path=False, seed=seed
-        ).run()
-        assert _comparable(fast) == _comparable(legacy)
-
-
-# ---------------------------------------------------------------------------
-# 2. mid-run checkpoint/resume through the representation-stable snapshot
-# ---------------------------------------------------------------------------
+        default, reference = (
+            CoreSimulator(
+                trace, broadwell(), reference=reference, seed=seed
+            ).run()
+            for reference in (False, True)
+        )
+        assert comparable(default) == comparable(reference)
 
 
 class _Interrupted(Exception):
     pass
 
 
-def _interrupted_resumed(trace, config, *, kills=2, **kwargs):
-    """Run to the ``kills``-th checkpoint, die, resume the newest file."""
-    sim = CoreSimulator(trace, config, **kwargs)
+@pytest.mark.parametrize("workload", ["mcf", "exchange2"])
+def test_checkpoint_resume_fast_path_equals_legacy(workload):
+    """A default run interrupted at its second checkpoint and resumed
+    from disk equals the uninterrupted reference."""
+    trace = make_trace(workload, N, 1)
+    sim = CoreSimulator(trace, broadwell(), reference=False)
     seen = 0
 
     def hook(path, instrs):
         nonlocal seen
         seen += 1
-        if seen >= kills:
+        if seen >= 2:
             raise _Interrupted
 
     try:
         sim.run(
-            checkpoint_interval=300,
-            checkpoint_key=f"hotpath-{kwargs.get('memory_fast_path')}",
+            checkpoint_interval=300, checkpoint_key="hotpath",
             on_checkpoint=hook,
         )
     except _Interrupted:
         pass
-    files = ckpt.list_case_checkpoints(
-        f"hotpath-{kwargs.get('memory_fast_path')}"
-    )
+    files = ckpt.list_case_checkpoints("hotpath")
     assert files, "the interrupted run never wrote a checkpoint"
-    return CoreSimulator.resume(files[-1]).run()
+    resumed = CoreSimulator.resume(files[-1]).run()
+    _, reference = reference_pair(workload, "bdw")
+    assert comparable(resumed) == comparable(reference)
 
 
-@pytest.mark.parametrize("workload", ["mcf", "exchange2"])
-def test_checkpoint_resume_fast_path_equals_legacy(workload):
-    trace = make_trace(workload, N, 1)
-    resumed = _interrupted_resumed(
-        trace, broadwell(), memory_fast_path=True
-    )
-    legacy = CoreSimulator(
-        trace, broadwell(), memory_fast_path=False
-    ).run()
-    assert _comparable(resumed) == _comparable(legacy)
+# ---------------------------------------------------------------------------
+# 2. hierarchy snapshots are representation-stable
+# ---------------------------------------------------------------------------
 
 
-def _mid_run_snapshot(trace, config, **kwargs) -> bytes:
-    """Snapshot bytes captured at the first checkpoint due point."""
-    sim = CoreSimulator(trace, config, **kwargs)
-    captured: list[bytes] = []
+def _access_stream(count=4_000, seed=5):
+    """Loads, stores and fetches over a footprint that spills the L2,
+    with a streaming stretch for the prefetcher, at rising times."""
+    rng = random.Random(seed)
+    stream = []
+    now = 0
+    for i in range(count):
+        now += rng.randrange(1, 4)
+        kind = rng.randrange(10)
+        if i % 400 < 80:
+            addr = 0x2000_0000 + (i % 400) * 64  # sequential: prefetches
+        else:
+            addr = 0x1000_0000 + rng.randrange(1 << 16) * 64
+        if kind == 0:
+            stream.append(("ifetch", 0x40_0000 + rng.randrange(4096) * 4, now))
+        elif kind <= 2:
+            stream.append(("dstore", addr, now))
+        else:
+            stream.append(("dload", addr, now))
+    return stream
 
-    def hook(path, instrs):
-        captured.append(ckpt.load_checkpoint(path)[0])
-        raise _Interrupted
 
-    try:
-        sim.run(
-            checkpoint_interval=300, checkpoint_key="hotpath-cross",
-            on_checkpoint=hook,
+def _replay_stream(hierarchy, stream):
+    return [
+        (r.complete, r.l1_hit, r.level)
+        for r in (
+            getattr(hierarchy, op)(addr, now) for op, addr, now in stream
         )
-    except _Interrupted:
-        pass
-    assert captured, "no checkpoint was written"
-    return captured[0]
+    ]
 
 
 @pytest.mark.parametrize("src_fast,dst_fast", [(True, False), (False, True)])
 def test_snapshot_restores_across_representations(src_fast, dst_fast):
-    """A snapshot written by one cache representation finishes the run
-    under the other — the snapshot schema is representation-stable —
-    and still matches the straight-through reference."""
-    trace = make_trace("mcf", N, 1)
-    payload = _mid_run_snapshot(
-        trace, broadwell(), memory_fast_path=src_fast
-    )
-    data = pickle.loads(payload)
-    assert data["kwargs"]["memory_fast_path"] is src_fast
-    data["kwargs"]["memory_fast_path"] = dst_fast
-    crossed = CoreSimulator.from_snapshot(pickle.dumps(data)).run()
-    reference = CoreSimulator(
-        trace, broadwell(), memory_fast_path=False
-    ).run()
-    assert _comparable(crossed) == _comparable(reference)
+    """A hierarchy snapshot taken mid-stream by one representation
+    finishes the stream under the other — the snapshot schema is
+    representation-stable — and ends in the straight-through state."""
+    memory = broadwell().memory
+    stream = _access_stream()
+    half = len(stream) // 2
+    straight = MemoryHierarchy(memory, fast_path=src_fast)
+    expected = _replay_stream(straight, stream)
+
+    first = MemoryHierarchy(memory, fast_path=src_fast)
+    _replay_stream(first, stream[:half])
+    crossed = MemoryHierarchy(memory, fast_path=dst_fast)
+    crossed.restore(first.snapshot())
+    assert _replay_stream(crossed, stream[half:]) == expected[half:]
+    end = stream[-1][2]
+    assert crossed.fingerprint(end) == straight.fingerprint(end)
+    assert crossed.stats() == straight.stats()
 
 
 # ---------------------------------------------------------------------------
@@ -271,22 +235,22 @@ def test_snapshot_restores_across_representations(src_fast, dst_fast):
 
 
 def test_env_gate_selects_legacy_representation(monkeypatch):
-    monkeypatch.setenv(ENV_LEGACY_MEMORY, "1")
-    assert legacy_memory_default()
-    h = MemoryHierarchy(broadwell().memory)
+    monkeypatch.setenv(ENV_REFERENCE, "1")
+    h = CoreSimulator(make_trace("mcf", 200, 1), broadwell()).hierarchy
     assert not h.fast_path
     assert type(h.l1d) is LegacyCache and type(h.dtlb) is LegacyTlb
 
 
 def test_kwarg_overrides_env_gate(monkeypatch):
-    monkeypatch.setenv(ENV_LEGACY_MEMORY, "1")
-    h = MemoryHierarchy(broadwell().memory, fast_path=True)
+    monkeypatch.setenv(ENV_REFERENCE, "1")
+    trace = make_trace("mcf", 200, 1)
+    h = CoreSimulator(trace, broadwell(), reference=False).hierarchy
     assert h.fast_path
     assert type(h.l1d) is Cache and type(h.dtlb) is Tlb
-    monkeypatch.delenv(ENV_LEGACY_MEMORY)
-    assert not legacy_memory_default()
-    h = MemoryHierarchy(broadwell().memory)
-    assert h.fast_path
+    monkeypatch.setenv(ENV_REFERENCE, "0")
+    assert CoreSimulator(trace, broadwell()).hierarchy.fast_path
+    # A bare hierarchy defaults to the fast representation.
+    assert MemoryHierarchy(broadwell().memory).fast_path
 
 
 # ---------------------------------------------------------------------------

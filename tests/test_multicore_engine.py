@@ -29,7 +29,7 @@ import multiprocessing
 import pytest
 
 from repro.config.cores import CacheConfig, DramConfig
-from repro.config.presets import broadwell, tiny_core
+from repro.config.presets import broadwell, knights_landing, tiny_core
 from repro.core import invariants
 from repro.core.components import Component
 from repro.core.wrongpath import WrongPathMode
@@ -55,6 +55,14 @@ def _comparable(result) -> dict:
 
 def _per_core_comparable(results) -> list[dict]:
     return [_comparable(r) for r in results]
+
+
+def _without_skip_counters(result) -> dict:
+    payload = _comparable(result)
+    for key in ("ff_windows", "ff_cycles_skipped", "replay_windows",
+                "replay_cycles_skipped"):
+        payload.pop(key)
+    return payload
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +133,29 @@ def test_n_core_repeat_runs_are_byte_identical():
     assert first.fingerprint() != ""
     assert _per_core_comparable(first.per_core) == (
         _per_core_comparable(second.per_core)
+    )
+
+
+@pytest.mark.parametrize("workload,preset,cores", [
+    ("conv-vgg-2-fwd", knights_landing, 4),
+    ("mcf", broadwell, 2),
+])
+def test_socket_default_matches_reference(workload, preset, cores):
+    """Every core of a contended socket on the default path (skip engines
+    armed per core) matches the every-cycle reference bit for bit; only
+    the skip counters may differ."""
+    traces = make_threaded_traces(workload, cores, 3000, seed=1)
+    default, reference = (
+        MulticoreSimulator(
+            traces, preset(), seed=7, reference=reference
+        ).run()
+        for reference in (False, True)
+    )
+    assert all(
+        r.ff_windows == r.replay_windows == 0 for r in reference.per_core
+    )
+    assert [_without_skip_counters(r) for r in default.per_core] == (
+        [_without_skip_counters(r) for r in reference.per_core]
     )
 
 
@@ -296,13 +327,9 @@ def test_no_contention_engine_equals_independent_cores():
     """Infinite shared bandwidth/capacity: N-core == N solo runs."""
     config = _no_contention_config()
     traces = [_disjoint_load_trace(core, N) for core in range(3)]
-    engine = MulticoreSimulator(
-        traces, config, seeds=(7, 8, 9), replay=False
-    ).run()
+    engine = MulticoreSimulator(traces, config, seeds=(7, 8, 9)).run()
     for core, trace in enumerate(traces):
-        solo = CoreSimulator(
-            trace, config, seed=7 + core, replay=False
-        ).run()
+        solo = CoreSimulator(trace, config, seed=7 + core).run()
         assert engine.per_core[core].cycles == solo.cycles, f"core {core}"
         engine_report = engine.per_core[core].report
         solo_report = solo.report
@@ -337,7 +364,7 @@ def test_contended_cycles_monotonic_in_core_count():
     for cores in (1, 2, 4):
         result = MulticoreSimulator(
             traces[:cores], config,
-            seeds=tuple(7 + i for i in range(cores)), replay=False,
+            seeds=tuple(7 + i for i in range(cores)),
         ).run()
         per_count[cores] = list(result.per_core)
     for smaller, larger in ((1, 2), (2, 4)):

@@ -1,12 +1,12 @@
-"""Periodic steady-state replay: bitwise equivalence and unit behaviour.
+"""Periodic steady-state replay: engagement and unit behaviour.
 
 The replay engine's contract mirrors the quiescent-cycle fast-forward
 engine's: skipping whole loop iterations changes *nothing* observable.
-Every ``SimResult`` field (cycles, stacks, cache stats, predictor stats)
-must be bit-for-bit identical to the cycle-by-cycle run, in every
-wrong-path mode, with and without warmup.  The differential matrix here
-enforces that; the unit tests pin down the trace period analysis and the
-state fingerprints the fixed-point check is built from — each
+``tests/test_reference.py`` enforces that against the every-cycle
+reference mode; the tests here are this engine's view of that matrix
+(periods are skipped on the default path and never on the reference),
+plus unit tests pinning down the trace period analysis and the state
+fingerprints the fixed-point check is built from — each
 ``fingerprint()`` must change whenever the underlying behavioural state
 changes, or the engine could jump from a state it never actually
 recorded.
@@ -29,53 +29,33 @@ from repro.memory.dram import DramModel
 from repro.memory.mshr import MshrFile
 from repro.memory.prefetcher import StreamPrefetcher
 from repro.memory.tlb import Tlb
-from repro.pipeline.core import (
-    ENV_REPLAY,
-    CoreSimulator,
-    replay_default,
-    simulate,
-)
+from repro.pipeline.core import ENV_REFERENCE, CoreSimulator, simulate
 from repro.pipeline.replay import find_period
 from repro.pipeline.resources import FunctionalUnitPool
 from repro.pipeline.result import SimResult
 from repro.workloads.registry import make_trace
-
-N = 2_000
-
-
-def _comparable(result) -> dict:
-    """Everything that must be identical (host-side telemetry excluded)."""
-    payload = result.to_dict()
-    for key in ("wall_seconds", "ff_windows", "ff_cycles_skipped",
-                "replay_windows", "replay_cycles_skipped"):
-        payload.pop(key)
-    return payload
-
-
-def _run_pair(workload, config, *, mode=WrongPathMode.EXACT, warmup=0, n=N):
-    trace = make_trace(workload, n, 1)
-    on = CoreSimulator(trace, config, mode=mode,
-                       warmup_instructions=warmup, replay=True)
-    off = CoreSimulator(trace, config, mode=mode,
-                        warmup_instructions=warmup, replay=False)
-    return on, on.run(), off, off.run()
+from tests.test_reference import (
+    PRESET_BY_NAME,
+    comparable,
+    reference_pair,
+)
 
 
 # ---------------------------------------------------------------------------
-# differential matrix: replay on == replay off, bit for bit
+# the engine's cells of the reference matrix
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("workload", ["exchange2", "spin", "mcf", "bwaves"])
-@pytest.mark.parametrize("preset", [broadwell, knights_landing])
+@pytest.mark.parametrize("preset", ["broadwell", "knights_landing"])
 @pytest.mark.parametrize("mode", list(WrongPathMode))
 @pytest.mark.parametrize("warmup", [0, 200])
 def test_replay_bitwise_identical(workload, preset, mode, warmup):
-    on, res_on, off, res_off = _run_pair(
-        workload, preset(), mode=mode, warmup=warmup
+    default, reference = reference_pair(
+        workload, PRESET_BY_NAME[preset], mode, warmup
     )
-    assert _comparable(res_on) == _comparable(res_off)
-    assert off.replay_windows == 0 and off.replay_cycles_skipped == 0
+    assert comparable(default) == comparable(reference)
+    assert reference.replay_windows == reference.replay_cycles_skipped == 0
 
 
 @pytest.mark.parametrize("workload", ["exchange2", "spin"])
@@ -83,58 +63,60 @@ def test_replay_bitwise_identical(workload, preset, mode, warmup):
 def test_replay_engages_on_periodic_traces(workload, preset):
     """The two designated loop traces must actually take the macro jump
     (EXACT mode; other modes legitimately disengage the engine)."""
-    on, res_on, _, _ = _run_pair(workload, preset(), n=4_000)
-    assert on.replay_windows > 0, "replay never engaged"
-    assert on.replay_cycles_skipped > 0
-    assert res_on.replay_windows == on.replay_windows
-    assert res_on.replay_cycles_skipped == on.replay_cycles_skipped
+    sim = CoreSimulator(make_trace(workload, 4_000, 1), preset(),
+                        reference=False)
+    result = sim.run()
+    assert sim.replay_windows > 0, "replay never engaged"
+    assert sim.replay_cycles_skipped > 0
+    assert result.replay_windows == sim.replay_windows
+    assert result.replay_cycles_skipped == sim.replay_cycles_skipped
 
 
 def test_replay_identical_with_warmup_boundary_inside_loop():
     """Warmup that ends mid-loop must not perturb the recorded window."""
     for warmup in (50, 96, 150):
-        _, res_on, _, res_off = _run_pair(
-            "exchange2", broadwell(), warmup=warmup, n=4_000
+        default, reference = reference_pair(
+            "exchange2", "bdw", warmup=warmup, n=4_000
         )
-        assert _comparable(res_on) == _comparable(res_off)
+        assert comparable(default) == comparable(reference)
 
 
 def test_replay_composes_with_fast_forward():
     """Both engines on together must still be bitwise identical."""
-    trace = make_trace("spin", 4_000, 1)
-    both = simulate(trace, broadwell(), fast_forward=True, replay=True)
-    neither = simulate(trace, broadwell(), fast_forward=False, replay=False)
-    assert _comparable(both) == _comparable(neither)
+    default, reference = reference_pair("spin", "bdw", n=4_000)
+    assert comparable(default) == comparable(reference)
+    assert default.ff_windows > 0 and default.replay_windows > 0
 
 
 # ---------------------------------------------------------------------------
-# escape hatches
+# mode selection
 # ---------------------------------------------------------------------------
 
 
 def test_replay_param_disables_engine():
     trace = make_trace("spin", 2_000, 1)
-    sim = CoreSimulator(trace, broadwell(), replay=False)
+    sim = CoreSimulator(trace, broadwell(), reference=True)
     sim.run()
     assert sim.replay_windows == 0 and sim.replay_cycles_skipped == 0
 
 
 def test_replay_env_default(monkeypatch):
-    monkeypatch.delenv(ENV_REPLAY, raising=False)
-    assert replay_default() is True
-    monkeypatch.setenv(ENV_REPLAY, "0")
-    assert replay_default() is False
     trace = make_trace("spin", 2_000, 1)
-    sim = CoreSimulator(trace, broadwell())  # replay=None -> env
+    monkeypatch.setenv(ENV_REFERENCE, "0")
+    sim = CoreSimulator(trace, broadwell())  # reference=None -> env
+    sim.run()
+    assert sim.replay_windows > 0
+    monkeypatch.setenv(ENV_REFERENCE, "1")
+    sim = CoreSimulator(trace, broadwell())
     sim.run()
     assert sim.replay_windows == 0
 
 
 def test_simulate_wrapper_passes_replay_through():
     trace = make_trace("spin", 2_000, 1)
-    res_on = simulate(trace, broadwell(), replay=True)
-    res_off = simulate(trace, broadwell(), replay=False)
-    assert _comparable(res_on) == _comparable(res_off)
+    res_on = simulate(trace, broadwell(), reference=False)
+    res_off = simulate(trace, broadwell(), reference=True)
+    assert comparable(res_on) == comparable(res_off)
     assert res_on.replay_windows > 0
     assert res_off.replay_windows == 0
 
@@ -326,7 +308,7 @@ def test_frontend_shift_moves_position_and_deadline():
 
 def test_simresult_roundtrip_keeps_telemetry():
     trace = make_trace("spin", 4_000, 1)
-    result = simulate(trace, broadwell(), replay=True)
+    result = simulate(trace, broadwell(), reference=False)
     assert result.replay_windows > 0
     clone = SimResult.from_dict(result.to_dict())
     assert clone.to_dict() == result.to_dict()
