@@ -170,6 +170,11 @@ class CaseSpec:
             fp["accounting"] = False
         if self.topdown:
             fp["topdown"] = True
+            # Versions the top-down accountant's inputs (absent: 1).  2:
+            # the default path resolves the nonready producer at select
+            # time under top-down, matching the reference; entries
+            # cached before that may blame later-dispatched micro-ops.
+            fp["topdown_schema"] = 2
         if self.accounting_width is not None:
             fp["accounting_width"] = self.accounting_width
         return fp

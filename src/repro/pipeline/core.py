@@ -372,8 +372,14 @@ class CoreSimulator:
         # all), the fused select stores _PENDING for the two producer
         # fields and they are resolved on first read.  Sound because the
         # inputs of the deferred walks only change through events that
-        # set ``_rs_dirty`` and therefore force a new select first.
-        self._lazy_prod = self._batch or not self._accounting
+        # set ``_rs_dirty`` and therefore force a new select first.  The
+        # first read may come after the same cycle's dispatch appended
+        # to ``_nonready``, which the select saw as absent; only a
+        # top-down accountant reads the producer in that state (under
+        # structural stalls), so with one attached it resolves eagerly.
+        self._lazy_prod = (
+            self._batch and not self._sig_topdown
+        ) or not self._accounting
         # Periodic steady-state replay: record one loop iteration's worth
         # of accounting once the machine provably reaches a fixed point
         # (modulo a uniform shift), then skip whole periods at a time.
@@ -418,7 +424,7 @@ class CoreSimulator:
             )
         start = time.perf_counter()
         step = self._step_event if self._event else self._step
-        # _finished inlined, cheapest-reject first: on almost every cycle
+        # unfinished() inlined, cheapest-reject first: on almost every cycle
         # the ROB (or the dispatch queue) is non-empty, so the check costs
         # one truthiness test instead of three calls (method + two
         # frontend properties).
@@ -538,15 +544,6 @@ class CoreSimulator:
             for collector in self.collectors
         ]
         return self.fused_results[0]
-
-    def _finished(self) -> bool:
-        return (
-            self.frontend.idle
-            and not self.rob
-            and not self.uop_queue
-            and self.unsched_remaining == 0
-            and not self.barrier_waiting
-        )
 
     def unfinished(self) -> bool:
         """True while stepping this core can still make progress.
@@ -1663,8 +1660,10 @@ class CoreSimulator:
                 frontend.wrong_path or fe_reason is Component.BPRED
             )
             if self._batch:
-                # Same conditional sub-signatures as _step_event; with all
-                # counts zero, only the branch conditions can exclude.
+                # Same conditional sub-signatures and tuple shape as
+                # _step_event, so a window can extend a stepped batch;
+                # with all counts zero, only the branch conditions can
+                # exclude.
                 if head is None:
                     head_sig: object = None
                 else:
@@ -1672,7 +1671,7 @@ class CoreSimulator:
                         head.done, head.is_load, head.dcache_miss,
                         head.issued, head.multi_cycle,
                     )
-                if rs_empty or structural:
+                if rs_empty or (structural and not self._sig_topdown):
                     prod_sig: object = False
                     first_producer = None
                 else:
@@ -1702,7 +1701,7 @@ class CoreSimulator:
                 sig = (
                     0, 0, 0, 0.0, 0, 0.0, 0.0, queue_empty, window_full,
                     rob_empty, rs_empty, structural, vfp_in_rs, False,
-                    wp_active, fe_reason, head_sig, prod_sig, vfp_sig,
+                    wp_active, fe_reason, head_sig, prod_sig, vfp_sig, 0,
                 )
                 if sig == self._bat_sig:
                     self._bat_k += k

@@ -68,6 +68,31 @@ def test_memory_bound_trace_skips_most_cycles():
     assert default.ff_cycles_skipped > 0.9 * default.cycles
 
 
+@pytest.mark.parametrize("topdown", [False, True])
+def test_window_extends_stepped_batch(topdown):
+    """A stepped stall cycle followed by a window with the same
+    observation signature leaves one pending batch of ``1 + k`` cycles:
+    the window's signature has the stepped cycle's shape and pruning."""
+    sim = CoreSimulator(
+        make_trace("mcf", 2_000, 1), broadwell(), topdown=topdown,
+        reference=False,
+    )
+    windows = []
+    ff_event = sim._ff_event
+
+    def spy(cycle, k):
+        before = sim._bat_k
+        ff_event(cycle, k)
+        windows.append((before, k, sim._bat_k))
+
+    sim._ff_event = spy
+    sim.run()
+    assert windows
+    assert any(
+        before == 1 and after == 1 + k for before, k, after in windows
+    )
+
+
 # ---------------------------------------------------------------------------
 # mode selection
 # ---------------------------------------------------------------------------

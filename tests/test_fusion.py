@@ -338,7 +338,7 @@ def test_fused_checkpoint_lives_under_group_key():
     # name.
     default, topdown = _variant_specs(warmup_fraction=0.3)[:2]
     assert Job(specs=(default, topdown)).key() == (
-        "3378281e5cad78abf754d3ea737f937123d275274a01519c52c2ba8f46b0e32a"
+        "e2c02e1053b33869619c369442e4d8e585a38b53548cbbe092a76ec6a2cfc5a8"
     )
     assert Job(specs=(default,)).key() == default.key()
 
@@ -383,7 +383,7 @@ def test_variant_keys_discriminate_but_share_timing():
         "59de8270af5ed54b4e45a4678cd87f96a7538004e8a27b1f361e23df0f9c56ef"
     )
     assert topdown.key() == (
-        "37aa93539931630e17fdcaab97909ed4b454b670d33073361b14de6bd531d87f"
+        "c965f209fd0c18139edb1e247e2834e2501142f774c0554f4d9a60fea1e55588"
     )
 
 

@@ -23,7 +23,7 @@ import functools
 
 import pytest
 
-from repro.config.presets import broadwell, knights_landing
+from repro.config.presets import broadwell, get_preset, knights_landing
 from repro.core.wrongpath import WrongPathMode
 from repro.pipeline.core import (
     _RETIRED_REFERENCE_ENV,
@@ -66,7 +66,7 @@ def reference_pair(workload, preset, mode=EXACT, warmup=0, topdown=False,
     trace = make_trace(workload, n, 1)
     return tuple(
         CoreSimulator(
-            trace, PRESETS[preset](), mode=mode, warmup_instructions=warmup,
+            trace, get_preset(preset), mode=mode, warmup_instructions=warmup,
             topdown=topdown, reference=reference,
         ).run()
         for reference in (False, True)
@@ -107,6 +107,13 @@ def _matrix() -> list:
     for warmup in (50, 96, 150):
         cells.append(("exchange2", "bdw", EXACT, warmup, False, 4_000))
     cells.append(("spin", "bdw", EXACT, 0, False, 4_000))
+    # top-down under structural stalls: the cells where a producer
+    # resolved after dispatch once blamed micro-ops the select never saw.
+    for workload, preset, warmup in (
+        ("leela", "knl", 0), ("leela", "knl", 300),
+        ("lbm", "bdw", 0), ("lbm", "skx", 0),
+    ):
+        cells.append((workload, preset, EXACT, warmup, True, N))
     return cells
 
 
